@@ -19,6 +19,7 @@
 //! the paper's Table 4.
 
 use quatrex_probe::clock::Instant;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -26,11 +27,8 @@ use rayon::prelude::*;
 
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
-use quatrex_obc::{ObcMemoizer, ObcMode};
-use quatrex_rgf::{
-    rgf_solve_batch_into, rgf_solve_scratch, RgfBatchScratch, RgfError, RgfScratch,
-    SelectedSolution,
-};
+use quatrex_obc::{ObcMemoizer, ObcMode, Subsystem};
+use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::assembly::{assemble_g, assemble_w, ObcMethod};
@@ -101,8 +99,8 @@ impl KernelTimings {
     }
 }
 
-/// Output of one per-energy G-step: the selected Green's function blocks and
-/// the spectral quantities derived from them.
+/// Output of the G-step for one energy point: the selected Green's function
+/// blocks and the spectral quantities derived from them.
 pub struct GStepOutput {
     /// Selected blocks of `G^R`.
     pub retarded: BlockTridiagonal,
@@ -114,103 +112,170 @@ pub struct GStepOutput {
     pub current_spectrum: f64,
     /// Local density of states per transport cell.
     pub dos_local: Vec<f64>,
+    /// Wall seconds this energy cost: its assembly plus an even share of its
+    /// chunk's solve.
+    pub seconds: f64,
 }
 
-/// Run the G-step for a single energy point: assembly (with OBCs), RGF solve,
-/// symmetrisation and spectral observables.
-///
-/// Both the single-process [`ScbaSolver`] and the distributed
-/// `quatrex_dist::DistScbaSolver` drive their energy loops through this one
-/// function, so their per-energy numerics are identical by construction.
-#[allow(clippy::too_many_arguments)]
-pub fn g_step_energy(
-    h: &BlockTridiagonal,
-    energy: f64,
-    energy_index: usize,
-    config: &ScbaConfig,
-    kt: f64,
-    sigma_r: Option<&BlockTridiagonal>,
-    sigma_lesser: Option<&BlockTridiagonal>,
-    sigma_greater: Option<&BlockTridiagonal>,
-    memoizer: Option<&mut ObcMemoizer>,
-    scratch: &mut RgfScratch,
+/// One energy's assembled system as a chunk solver receives it: the system
+/// matrix and its lesser and greater right-hand sides.
+pub type StagedSystem = (BlockTridiagonal, BlockTridiagonal, BlockTridiagonal);
+
+/// Cut `range` into consecutive energy chunks of at most `size` points, the
+/// unit of [`g_step_batch`] and [`w_step_batch`]. A `size` of 0 counts as 1.
+pub fn energy_chunks(range: Range<usize>, size: usize) -> impl Iterator<Item = Range<usize>> {
+    let size = size.max(1);
+    let end = range.end;
+    range.step_by(size).map(move |s| s..(s + size).min(end))
+}
+
+/// The single-rank chunk solver: one energy-batched RGF solve
+/// ([`rgf_solve_batch_into`]) of a chunk's staged systems on a warm
+/// `scratch`. The solve is traced as `scba.g.rgf.batch` (category
+/// `g.rgf.batch`) for electrons and as its `w` twin for the screened
+/// interaction; its FLOPs and wall time go to that subsystem's RGF entries.
+pub fn rgf_batch_solve(
+    systems: Vec<StagedSystem>,
+    scratch: &mut RgfBatchScratch,
+    subsystem: Subsystem,
     flops: &FlopCounter,
     timings: &KernelTimings,
-) -> Result<GStepOutput, RgfError> {
-    let t0 = Instant::now();
-    let asm = quatrex_probe::span("g.assembly", "g.assembly", || {
-        assemble_g(
-            h,
-            energy,
-            config.eta,
-            energy_index,
-            sigma_r,
-            sigma_lesser,
-            sigma_greater,
-            config.mu_left,
-            config.mu_right,
-            kt,
-            config.obc_method_g,
-            memoizer,
-            flops,
-        )
+) -> Result<Vec<SelectedSolution>, RgfError> {
+    let (name, category, kind, slot) = match subsystem {
+        Subsystem::Electron => (
+            "scba.g.rgf.batch",
+            "g.rgf.batch",
+            FlopKind::GRgf,
+            &timings.g_rgf_ns,
+        ),
+        Subsystem::ScreenedCoulomb => (
+            "scba.w.rgf.batch",
+            "w.rgf.batch",
+            FlopKind::WRgf,
+            &timings.w_rgf_ns,
+        ),
+    };
+    let Some((a, _, _)) = systems.first() else {
+        return Ok(Vec::new());
+    };
+    let matrices: Vec<&BlockTridiagonal> = systems.iter().map(|s| &s.0).collect();
+    let rhs: Vec<[&BlockTridiagonal; 2]> = systems.iter().map(|s| [&s.1, &s.2]).collect();
+    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
+    let mut sols = vec![SelectedSolution::zeros(a.n_blocks(), a.block_size(), 2); systems.len()];
+    let (res, secs) = quatrex_probe::span_timed(name, category, || {
+        rgf_solve_batch_into(&matrices, &rhs_slices, &mut sols, scratch)
     });
-    timings.add(&timings.g_assembly_ns, t0);
-
-    let t1 = Instant::now();
-    let sol = quatrex_probe::span("g.rgf", "g.rgf", || {
-        rgf_solve_scratch(&asm.system, &[&asm.rhs_lesser, &asm.rhs_greater], scratch)
-    })?;
-    flops.add(FlopKind::GRgf, sol.flops);
-    timings.add(&timings.g_rgf_ns, t1);
-
-    let mut lesser = sol.lesser.into_iter();
-    let g_lesser = lesser.next().expect("lesser RHS solved");
-    let g_greater = lesser.next().expect("greater RHS solved");
-    Ok(g_step_finish(
-        &asm.sigma_obc_left_lesser,
-        &asm.sigma_obc_left_greater,
-        sol.retarded,
-        g_lesser,
-        g_greater,
-        config,
-    ))
+    res.map_err(|e| e.error)?;
+    timings.add_seconds(slot, secs);
+    for sol in &sols {
+        flops.add(kind, sol.flops);
+    }
+    Ok(sols)
 }
 
-/// Finish one per-energy G-step from the left-contact OBC blocks of its
-/// assembly and the selected RGF solution: symmetrisation and the spectral
-/// observables. Split out of [`g_step_energy`] so a solver that routes the
-/// RGF solve elsewhere (e.g. the spatially decomposed `quatrex_dist` driver
-/// with `P_S > 1`) applies the exact same tail arithmetic.
-pub fn g_step_finish(
-    sigma_obc_left_lesser: &quatrex_linalg::CMatrix,
-    sigma_obc_left_greater: &quatrex_linalg::CMatrix,
-    retarded: BlockTridiagonal,
-    mut lesser: BlockTridiagonal,
-    mut greater: BlockTridiagonal,
-    config: &ScbaConfig,
-) -> GStepOutput {
-    if config.enforce_symmetry {
-        lesser.symmetrize_negf();
-        greater.symmetrize_negf();
-    }
-    let current_spectrum = current_spectrum_left(
-        sigma_obc_left_lesser,
-        sigma_obc_left_greater,
-        lesser.diag(0),
-        greater.diag(0),
+/// Call a chunk solver and spread its wall time evenly over the chunk's `n`
+/// energies: returns the solutions and the per-energy share.
+fn timed_chunk_solve(
+    solve: impl FnOnce(Vec<StagedSystem>) -> Result<Vec<SelectedSolution>, RgfError>,
+    systems: Vec<StagedSystem>,
+) -> Result<(Vec<SelectedSolution>, f64), RgfError> {
+    let n = systems.len();
+    let t = Instant::now();
+    let sols = solve(systems)?;
+    assert_eq!(
+        sols.len(),
+        n,
+        "the chunk solver returns one solution per system"
     );
-    let dos_local = local_dos(&retarded);
-    GStepOutput {
-        retarded,
-        lesser,
-        greater,
-        current_spectrum,
-        dos_local,
-    }
+    Ok((sols, t.elapsed().as_secs_f64() / n.max(1) as f64))
 }
 
-/// Output of one per-energy W-step.
+/// Run the G-step for one chunk of energy points: per-energy assembly (OBC
+/// cascade and memoizer, in energy order), one call of the chunk solver
+/// `solve` on the staged systems, then the per-energy finish —
+/// symmetrisation and the spectral observables.
+///
+/// `indices` are the chunk's global energy indices into `energies`; the
+/// self-energy slices hold the chunk's energies in the same order. `solve`
+/// books its own FLOPs, kernel time and probe spans: [`ScbaSolver`] and the
+/// single-partition distributed driver pass [`rgf_batch_solve`], the
+/// spatially decomposed driver passes its collective nested-dissection
+/// solve. Every energy's output is bit-identical whatever the chunk size.
+#[allow(clippy::too_many_arguments)]
+pub fn g_step_batch(
+    h: &BlockTridiagonal,
+    energies: &[f64],
+    indices: Range<usize>,
+    config: &ScbaConfig,
+    kt: f64,
+    sigma_r: &[BlockTridiagonal],
+    sigma_lesser: &[BlockTridiagonal],
+    sigma_greater: &[BlockTridiagonal],
+    mut memoizer: Option<&mut ObcMemoizer>,
+    solve: impl FnOnce(Vec<StagedSystem>) -> Result<Vec<SelectedSolution>, RgfError>,
+    flops: &FlopCounter,
+    timings: &KernelTimings,
+) -> Result<Vec<GStepOutput>, RgfError> {
+    let n = indices.len();
+    assert!(
+        sigma_r.len() == n && sigma_lesser.len() == n && sigma_greater.len() == n,
+        "per-energy inputs must match the chunk length"
+    );
+    let mut systems = Vec::with_capacity(n);
+    let mut obc_left = Vec::with_capacity(n);
+    let mut seconds = Vec::with_capacity(n);
+    for (i, k) in indices.enumerate() {
+        let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
+            assemble_g(
+                h,
+                energies[k],
+                config.eta,
+                k,
+                Some(&sigma_r[i]),
+                Some(&sigma_lesser[i]),
+                Some(&sigma_greater[i]),
+                config.mu_left,
+                config.mu_right,
+                kt,
+                config.obc_method_g,
+                memoizer.as_deref_mut(),
+                flops,
+            )
+        });
+        timings.add_seconds(&timings.g_assembly_ns, secs);
+        systems.push((asm.system, asm.rhs_lesser, asm.rhs_greater));
+        obc_left.push((asm.sigma_obc_left_lesser, asm.sigma_obc_left_greater));
+        seconds.push(secs);
+    }
+    let (sols, solve_share) = timed_chunk_solve(solve, systems)?;
+    Ok(sols
+        .into_iter()
+        .zip(obc_left)
+        .zip(seconds)
+        .map(|((sol, (left_lesser, left_greater)), secs)| {
+            let mut rhs = sol.lesser.into_iter();
+            let mut lesser = rhs.next().expect("lesser RHS solved");
+            let mut greater = rhs.next().expect("greater RHS solved");
+            if config.enforce_symmetry {
+                lesser.symmetrize_negf();
+                greater.symmetrize_negf();
+            }
+            let current_spectrum =
+                current_spectrum_left(&left_lesser, &left_greater, lesser.diag(0), greater.diag(0));
+            let dos_local = local_dos(&sol.retarded);
+            GStepOutput {
+                retarded: sol.retarded,
+                lesser,
+                greater,
+                current_spectrum,
+                dos_local,
+                seconds: secs + solve_share,
+            }
+        })
+        .collect())
+}
+
+/// Output of the W-step for one (boson) energy point.
 pub struct WStepOutput {
     /// Selected blocks of `W^<` (symmetrised if configured).
     pub lesser: BlockTridiagonal,
@@ -218,219 +283,63 @@ pub struct WStepOutput {
     pub greater: BlockTridiagonal,
     /// Fraction of banded-product weight dropped by the BT truncation.
     pub truncation: f64,
+    /// Wall seconds this energy cost: its assembly plus an even share of its
+    /// chunk's solve.
+    pub seconds: f64,
 }
 
-/// Run the W-step for a single (boson) energy point: assembly of
-/// `I − V·P^R` with its OBCs, RGF solve and symmetrisation. Shared between
-/// the single-process and distributed drivers like [`g_step_energy`].
-#[allow(clippy::too_many_arguments)]
-pub fn w_step_energy(
-    coulomb: &BlockTridiagonal,
-    p_retarded: &BlockTridiagonal,
-    p_lesser: &BlockTridiagonal,
-    p_greater: &BlockTridiagonal,
-    energy_index: usize,
-    config: &ScbaConfig,
-    memoizer: Option<&mut ObcMemoizer>,
-    scratch: &mut RgfScratch,
-    flops: &FlopCounter,
-    timings: &KernelTimings,
-) -> Result<WStepOutput, RgfError> {
-    let t0 = Instant::now();
-    let asm = quatrex_probe::span("w.assembly", "w.assembly", || {
-        assemble_w(
-            coulomb,
-            p_retarded,
-            p_lesser,
-            p_greater,
-            energy_index,
-            config.obc_method_w,
-            memoizer,
-            flops,
-        )
-    });
-    timings.add(&timings.w_assembly_ns, t0);
-
-    let t1 = Instant::now();
-    let sol = quatrex_probe::span("w.rgf", "w.rgf", || {
-        rgf_solve_scratch(&asm.system, &[&asm.rhs_lesser, &asm.rhs_greater], scratch)
-    })?;
-    flops.add(FlopKind::WRgf, sol.flops);
-    timings.add(&timings.w_rgf_ns, t1);
-    let mut lesser = sol.lesser[0].clone();
-    let mut greater = sol.lesser[1].clone();
-    if config.enforce_symmetry {
-        lesser.symmetrize_negf();
-        greater.symmetrize_negf();
-    }
-    Ok(WStepOutput {
-        lesser,
-        greater,
-        truncation: asm.truncation_error,
-    })
-}
-
-/// Run the G-step for a batch of energy points: per-energy assembly (OBC
-/// cascade + memoizer, identical to [`g_step_energy`]) followed by **one**
-/// energy-batched RGF solve ([`rgf_solve_batch_into`]) whose block products
-/// run as `gemm_batch` sweeps over the whole batch. Every energy's output is
-/// bit-identical to [`g_step_energy`]; only the kernel launch structure
-/// changes.
-#[allow(clippy::too_many_arguments)]
-pub fn g_step_batch(
-    h: &BlockTridiagonal,
-    energies: &[f64],
-    energy_indices: &[usize],
-    config: &ScbaConfig,
-    kt: f64,
-    sigma_r: &[Option<&BlockTridiagonal>],
-    sigma_lesser: &[Option<&BlockTridiagonal>],
-    sigma_greater: &[Option<&BlockTridiagonal>],
-    memoizers: &mut [Option<&mut ObcMemoizer>],
-    scratch: &mut RgfBatchScratch,
-    flops: &FlopCounter,
-    timings: &KernelTimings,
-) -> Result<Vec<GStepOutput>, RgfError> {
-    let bsz = energies.len();
-    assert!(
-        energy_indices.len() == bsz
-            && sigma_r.len() == bsz
-            && sigma_lesser.len() == bsz
-            && sigma_greater.len() == bsz
-            && memoizers.len() == bsz,
-        "per-energy inputs must match the batch length"
-    );
-
-    let mut asms = Vec::with_capacity(bsz);
-    for i in 0..bsz {
-        let t0 = Instant::now();
-        let asm = quatrex_probe::span("g.assembly", "g.assembly", || {
-            assemble_g(
-                h,
-                energies[i],
-                config.eta,
-                energy_indices[i],
-                sigma_r[i],
-                sigma_lesser[i],
-                sigma_greater[i],
-                config.mu_left,
-                config.mu_right,
-                kt,
-                config.obc_method_g,
-                memoizers[i].as_deref_mut(),
-                flops,
-            )
-        });
-        timings.add(&timings.g_assembly_ns, t0);
-        asms.push(asm);
-    }
-
-    let t1 = Instant::now();
-    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
-    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-        .iter()
-        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
-        .collect();
-    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
-    let mut sols = vec![SelectedSolution::zeros(h.n_blocks(), h.block_size(), 2); bsz];
-    quatrex_probe::span("g.rgf", "g.rgf", || {
-        rgf_solve_batch_into(&systems, &rhs_slices, &mut sols, scratch)
-    })
-    .map_err(|e| e.error)?;
-    for sol in &sols {
-        flops.add(FlopKind::GRgf, sol.flops);
-    }
-    timings.add(&timings.g_rgf_ns, t1);
-
-    Ok(sols
-        .into_iter()
-        .zip(asms.iter())
-        .map(|(sol, asm)| {
-            let SelectedSolution {
-                retarded, lesser, ..
-            } = sol;
-            let mut it = lesser.into_iter();
-            let g_lesser = it.next().expect("lesser RHS solved");
-            let g_greater = it.next().expect("greater RHS solved");
-            g_step_finish(
-                &asm.sigma_obc_left_lesser,
-                &asm.sigma_obc_left_greater,
-                retarded,
-                g_lesser,
-                g_greater,
-                config,
-            )
-        })
-        .collect())
-}
-
-/// Run the W-step for a batch of (boson) energy points: per-energy assembly
-/// (identical to [`w_step_energy`]) followed by one energy-batched RGF solve.
-/// Bit-identical per energy to the per-energy path.
+/// Run the W-step for one chunk of (boson) energy points: per-energy
+/// assembly of `I − V·P^R` with its OBCs, one call of the chunk solver
+/// `solve`, then per-energy symmetrisation. The arguments follow
+/// [`g_step_batch`].
 #[allow(clippy::too_many_arguments)]
 pub fn w_step_batch(
     coulomb: &BlockTridiagonal,
-    p_retarded: &[&BlockTridiagonal],
-    p_lesser: &[&BlockTridiagonal],
-    p_greater: &[&BlockTridiagonal],
-    energy_indices: &[usize],
+    p_retarded: &[BlockTridiagonal],
+    p_lesser: &[BlockTridiagonal],
+    p_greater: &[BlockTridiagonal],
+    indices: Range<usize>,
     config: &ScbaConfig,
-    memoizers: &mut [Option<&mut ObcMemoizer>],
-    scratch: &mut RgfBatchScratch,
+    mut memoizer: Option<&mut ObcMemoizer>,
+    solve: impl FnOnce(Vec<StagedSystem>) -> Result<Vec<SelectedSolution>, RgfError>,
     flops: &FlopCounter,
     timings: &KernelTimings,
 ) -> Result<Vec<WStepOutput>, RgfError> {
-    let bsz = energy_indices.len();
+    let n = indices.len();
     assert!(
-        p_retarded.len() == bsz
-            && p_lesser.len() == bsz
-            && p_greater.len() == bsz
-            && memoizers.len() == bsz,
-        "per-energy inputs must match the batch length"
+        p_retarded.len() == n && p_lesser.len() == n && p_greater.len() == n,
+        "per-energy inputs must match the chunk length"
     );
-
-    let mut asms = Vec::with_capacity(bsz);
-    for i in 0..bsz {
-        let t0 = Instant::now();
-        let asm = quatrex_probe::span("w.assembly", "w.assembly", || {
+    let mut systems = Vec::with_capacity(n);
+    let mut truncation = Vec::with_capacity(n);
+    let mut seconds = Vec::with_capacity(n);
+    for (i, k) in indices.enumerate() {
+        let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
             assemble_w(
                 coulomb,
-                p_retarded[i],
-                p_lesser[i],
-                p_greater[i],
-                energy_indices[i],
+                &p_retarded[i],
+                &p_lesser[i],
+                &p_greater[i],
+                k,
                 config.obc_method_w,
-                memoizers[i].as_deref_mut(),
+                memoizer.as_deref_mut(),
                 flops,
             )
         });
-        timings.add(&timings.w_assembly_ns, t0);
-        asms.push(asm);
+        timings.add_seconds(&timings.w_assembly_ns, secs);
+        systems.push((asm.system, asm.rhs_lesser, asm.rhs_greater));
+        truncation.push(asm.truncation_error);
+        seconds.push(secs);
     }
-
-    let t1 = Instant::now();
-    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
-    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-        .iter()
-        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
-        .collect();
-    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
-    let mut sols = vec![SelectedSolution::zeros(coulomb.n_blocks(), coulomb.block_size(), 2); bsz];
-    quatrex_probe::span("w.rgf", "w.rgf", || {
-        rgf_solve_batch_into(&systems, &rhs_slices, &mut sols, scratch)
-    })
-    .map_err(|e| e.error)?;
-    for sol in &sols {
-        flops.add(FlopKind::WRgf, sol.flops);
-    }
-    timings.add(&timings.w_rgf_ns, t1);
-
+    let (sols, solve_share) = timed_chunk_solve(solve, systems)?;
     Ok(sols
         .into_iter()
-        .zip(asms.iter())
-        .map(|(sol, asm)| {
-            let mut lesser = sol.lesser[0].clone();
-            let mut greater = sol.lesser[1].clone();
+        .zip(truncation)
+        .zip(seconds)
+        .map(|((sol, truncation), secs)| {
+            let mut rhs = sol.lesser.into_iter();
+            let mut lesser = rhs.next().expect("lesser RHS solved");
+            let mut greater = rhs.next().expect("greater RHS solved");
             if config.enforce_symmetry {
                 lesser.symmetrize_negf();
                 greater.symmetrize_negf();
@@ -438,7 +347,8 @@ pub fn w_step_batch(
             WStepOutput {
                 lesser,
                 greater,
-                truncation: asm.truncation_error,
+                truncation,
+                seconds: secs + solve_share,
             }
         })
         .collect())
@@ -506,11 +416,12 @@ pub struct ScbaConfig {
     /// Strength of the GW self-energy fed back into the G-solver (1.0 = full
     /// scGW; smaller values damp the interaction for difficult bias points).
     pub interaction_scale: f64,
-    /// Number of energy points grouped into one batched RGF kernel call
-    /// ([`g_step_batch`] / [`w_step_batch`]): shared per-call setup is paid
-    /// once per batch and every block product runs as a `gemm_batch` sweep.
-    /// `1` selects the frozen per-energy path ([`g_step_energy`] /
-    /// [`w_step_energy`]); both paths are bit-identical per energy.
+    /// Chunk size of the G and W steps ([`g_step_batch`] /
+    /// [`w_step_batch`]): at most this many energy points share one batched
+    /// RGF kernel call, so shared per-call setup is paid once per chunk and
+    /// every block product runs as a `gemm_batch` sweep. It is a size, not a
+    /// code path: every value (`0` counts as `1`) runs the same chunk path
+    /// and gives bit-identical results.
     pub kernel_batch: usize,
 }
 
@@ -638,24 +549,19 @@ impl ScbaSolver {
         let mut sigma_l: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
         let mut sigma_g: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
 
-        // One memoizer per energy point and subsystem so the energy loop can be
-        // data-parallel without sharing mutable state.
-        let memoizers: Vec<Mutex<ObcMemoizer>> = (0..ne)
-            .map(|_| Mutex::new(ObcMemoizer::new(self.config.n_fpi, 1e-7)))
-            .collect();
-        // One RGF scratch per energy point: after the first iteration the
-        // per-energy solves run against warmed buffers (zero allocations in
-        // the RGF inner loops).
-        let scratches: Vec<Mutex<RgfScratch>> =
-            (0..ne).map(|_| Mutex::new(RgfScratch::new())).collect();
-        // Kernel-batch decomposition of the energy grid: `kernel_batch`
-        // energies share one batched RGF call (and one warm batch scratch per
-        // chunk). `kernel_batch == 1` keeps the frozen per-energy path.
-        let kb = self.config.kernel_batch.max(1);
-        let chunk_bounds: Vec<(usize, usize)> =
-            (0..ne).step_by(kb).map(|s| (s, (s + kb).min(ne))).collect();
-        let batch_scratches: Vec<Mutex<RgfBatchScratch>> = (0..chunk_bounds.len())
-            .map(|_| Mutex::new(RgfBatchScratch::new()))
+        // The energy grid in chunks of `kernel_batch`: each chunk's energies
+        // share one batched RGF solve, one warm batch scratch and one OBC
+        // memoizer (keyed by energy index, so sharing it changes no result),
+        // and the chunks run data-parallel without sharing mutable state.
+        let chunks: Vec<Range<usize>> = energy_chunks(0..ne, self.config.kernel_batch).collect();
+        let chunk_state: Vec<Mutex<(ObcMemoizer, RgfBatchScratch)>> = chunks
+            .iter()
+            .map(|_| {
+                Mutex::new((
+                    ObcMemoizer::new(self.config.n_fpi, 1e-7),
+                    RgfBatchScratch::new(),
+                ))
+            })
             .collect();
 
         // Final-iteration spectral data.
@@ -667,77 +573,40 @@ impl ScbaSolver {
             iterations += 1;
 
             // ------------------------------------------------------------ G step
-            let g_results: Vec<Result<GStepOutput, RgfError>> = if kb == 1 {
-                (0..ne)
-                    .into_par_iter()
-                    .map(|k| {
-                        let mut memo_guard = if self.config.use_memoizer {
-                            Some(memoizers[k].lock())
-                        } else {
-                            None
-                        };
-                        g_step_energy(
-                            &h,
-                            energies[k],
-                            k,
-                            &self.config,
-                            kt,
-                            Some(&sigma_r[k]),
-                            Some(&sigma_l[k]),
-                            Some(&sigma_g[k]),
-                            memo_guard.as_deref_mut(),
-                            &mut scratches[k].lock(),
-                            &flops,
-                            &timings,
-                        )
-                    })
-                    .collect()
-            } else {
-                chunk_bounds
-                    .clone()
-                    .into_par_iter()
-                    .enumerate()
-                    .map(|(ci, (s, t))| {
-                        let mut guards: Vec<_> = (s..t)
-                            .map(|k| self.config.use_memoizer.then(|| memoizers[k].lock()))
-                            .collect();
-                        let mut memo_refs: Vec<Option<&mut ObcMemoizer>> =
-                            guards.iter_mut().map(|g| g.as_deref_mut()).collect();
-                        let idxs: Vec<usize> = (s..t).collect();
-                        let sr: Vec<_> = (s..t).map(|k| Some(&sigma_r[k])).collect();
-                        let sl: Vec<_> = (s..t).map(|k| Some(&sigma_l[k])).collect();
-                        let sg: Vec<_> = (s..t).map(|k| Some(&sigma_g[k])).collect();
-                        match g_step_batch(
-                            &h,
-                            &energies[s..t],
-                            &idxs,
-                            &self.config,
-                            kt,
-                            &sr,
-                            &sl,
-                            &sg,
-                            &mut memo_refs,
-                            &mut batch_scratches[ci].lock(),
-                            &flops,
-                            &timings,
-                        ) {
-                            Ok(outs) => outs.into_iter().map(Ok).collect(),
-                            Err(e) => vec![Err(e)],
-                        }
-                    })
-                    .collect::<Vec<Vec<_>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            };
+            let g_results: Vec<Result<Vec<GStepOutput>, RgfError>> = chunks
+                .par_iter()
+                .enumerate()
+                .map(|(ci, c)| {
+                    let mut state = chunk_state[ci].lock();
+                    let (memoizer, scratch) = &mut *state;
+                    g_step_batch(
+                        &h,
+                        &energies,
+                        c.clone(),
+                        &self.config,
+                        kt,
+                        &sigma_r[c.clone()],
+                        &sigma_l[c.clone()],
+                        &sigma_g[c.clone()],
+                        self.config.use_memoizer.then_some(memoizer),
+                        |systems| {
+                            rgf_batch_solve(systems, scratch, Subsystem::Electron, &flops, &timings)
+                        },
+                        &flops,
+                        &timings,
+                    )
+                })
+                .collect();
 
             let mut g_retarded: EnergyResolved = Vec::with_capacity(ne);
             let mut g_lesser: EnergyResolved = Vec::with_capacity(ne);
             let mut g_greater: EnergyResolved = Vec::with_capacity(ne);
             let mut current_spectrum = Vec::with_capacity(ne);
             let mut dos_local = Vec::with_capacity(ne);
-            for r in g_results {
-                let out = r.expect("RGF solve failed: the system matrix became singular");
+            for out in g_results
+                .into_iter()
+                .flat_map(|r| r.expect("RGF solve failed: the system matrix became singular"))
+            {
                 g_retarded.push(out.retarded);
                 g_lesser.push(out.lesser);
                 g_greater.push(out.greater);
@@ -777,69 +646,40 @@ impl ScbaSolver {
             timings.add(&timings.convolution_ns, t2);
 
             // ------------------------------------------------------------ W step
-            let w_results: Vec<Result<WStepOutput, RgfError>> = if kb == 1 {
-                (0..ne)
-                    .into_par_iter()
-                    .map(|k| {
-                        let mut memo_guard = if self.config.use_memoizer {
-                            Some(memoizers[k].lock())
-                        } else {
-                            None
-                        };
-                        w_step_energy(
-                            &v,
-                            &p_retarded[k],
-                            &p_lesser[k],
-                            &p_greater[k],
-                            k,
-                            &self.config,
-                            memo_guard.as_deref_mut(),
-                            &mut scratches[k].lock(),
-                            &flops,
-                            &timings,
-                        )
-                    })
-                    .collect()
-            } else {
-                chunk_bounds
-                    .clone()
-                    .into_par_iter()
-                    .enumerate()
-                    .map(|(ci, (s, t))| {
-                        let mut guards: Vec<_> = (s..t)
-                            .map(|k| self.config.use_memoizer.then(|| memoizers[k].lock()))
-                            .collect();
-                        let mut memo_refs: Vec<Option<&mut ObcMemoizer>> =
-                            guards.iter_mut().map(|g| g.as_deref_mut()).collect();
-                        let idxs: Vec<usize> = (s..t).collect();
-                        let pr: Vec<_> = (s..t).map(|k| &p_retarded[k]).collect();
-                        let pl: Vec<_> = (s..t).map(|k| &p_lesser[k]).collect();
-                        let pg: Vec<_> = (s..t).map(|k| &p_greater[k]).collect();
-                        match w_step_batch(
-                            &v,
-                            &pr,
-                            &pl,
-                            &pg,
-                            &idxs,
-                            &self.config,
-                            &mut memo_refs,
-                            &mut batch_scratches[ci].lock(),
-                            &flops,
-                            &timings,
-                        ) {
-                            Ok(outs) => outs.into_iter().map(Ok).collect(),
-                            Err(e) => vec![Err(e)],
-                        }
-                    })
-                    .collect::<Vec<Vec<_>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            };
+            let w_results: Vec<Result<Vec<WStepOutput>, RgfError>> = chunks
+                .par_iter()
+                .enumerate()
+                .map(|(ci, c)| {
+                    let mut state = chunk_state[ci].lock();
+                    let (memoizer, scratch) = &mut *state;
+                    w_step_batch(
+                        &v,
+                        &p_retarded[c.clone()],
+                        &p_lesser[c.clone()],
+                        &p_greater[c.clone()],
+                        c.clone(),
+                        &self.config,
+                        self.config.use_memoizer.then_some(memoizer),
+                        |systems| {
+                            rgf_batch_solve(
+                                systems,
+                                scratch,
+                                Subsystem::ScreenedCoulomb,
+                                &flops,
+                                &timings,
+                            )
+                        },
+                        &flops,
+                        &timings,
+                    )
+                })
+                .collect();
             let mut w_lesser: EnergyResolved = Vec::with_capacity(ne);
             let mut w_greater: EnergyResolved = Vec::with_capacity(ne);
-            for r in w_results {
-                let out = r.expect("W RGF solve failed");
+            for out in w_results
+                .into_iter()
+                .flat_map(|r| r.expect("W RGF solve failed"))
+            {
                 max_truncation = max_truncation.max(out.truncation);
                 w_lesser.push(out.lesser);
                 w_greater.push(out.greater);
@@ -899,8 +739,8 @@ impl ScbaSolver {
         let density = electron_density(&final_g_lesser, de);
         let hit_rate = if self.config.use_memoizer {
             let (mut hits, mut total) = (0usize, 0usize);
-            for m in &memoizers {
-                let stats = m.lock().stats();
+            for state in &chunk_state {
+                let stats = state.lock().0.stats();
                 hits += stats.memoized_calls;
                 total += stats.memoized_calls + stats.direct_calls;
             }
@@ -1019,16 +859,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_path_matches_the_per_energy_path_bitwise() {
-        // kernel_batch = 1 is the frozen per-energy reference; a ragged
-        // batching (16 energies in chunks of 5) must reproduce it exactly —
-        // every gemm_batch plane runs the same packing/micro-kernel code as
-        // the per-energy gemm.
-        let mut per_energy_cfg = fast_config(16, 4);
-        per_energy_cfg.kernel_batch = 1;
+    fn chunk_size_does_not_change_the_results_bitwise() {
+        // Chunks of one energy and ragged chunks of five (16 energies) must
+        // agree exactly: every gemm_batch plane runs the same packing and
+        // micro-kernel code whatever the number of planes.
+        let mut single_cfg = fast_config(16, 4);
+        single_cfg.kernel_batch = 1;
         let mut batched_cfg = fast_config(16, 4);
         batched_cfg.kernel_batch = 5;
-        let reference = ScbaSolver::new(small_device(), per_energy_cfg).run();
+        let reference = ScbaSolver::new(small_device(), single_cfg).run();
         let batched = ScbaSolver::new(small_device(), batched_cfg).run();
 
         assert_eq!(batched.iterations, reference.iterations);

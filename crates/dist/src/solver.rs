@@ -10,26 +10,32 @@
 //! 1. every energy **group** owns a contiguous slice of energy points
 //!    (balanced by the memoizer-aware cost model); the group *leader*
 //!    (spatial rank 0) runs OBC + assembly for them against a **per-rank
-//!    [`ObcMemoizer`]**. With `spatial_partitions == 1` the leader also runs
-//!    the RGF solves; with `P_S > 1` the group's spatial ranks cooperate on
-//!    every energy point through the nested-dissection solver
-//!    ([`crate::spatial::spatial_phase_solve`]): concurrent interior
-//!    eliminations, a reduced boundary system assembled via gather within
-//!    the group and solved on the leader, and concurrent recoveries;
+//!    [`ObcMemoizer`]**. The G step runs chunk by chunk through
+//!    `quatrex_core::g_step_batch`, and only the chunk's solver depends on
+//!    the decomposition. With `spatial_partitions == 1` a chunk holds at most
+//!    `kernel_batch` energies and the leader solves it with one
+//!    energy-batched RGF call. With `P_S > 1` the chunk is the group's whole
+//!    owned range, and the group's spatial ranks cooperate on it through the
+//!    nested-dissection solver ([`crate::spatial::spatial_phase_solve`]):
+//!    concurrent interior eliminations, a reduced boundary system assembled
+//!    via gather within the group and solved on the leader, and concurrent
+//!    recoveries;
 //! 2. the selected `G^≶` blocks are transposed into element-major layout with
 //!    a real `Alltoallv` among the group leaders (Fig. 3), every leader
 //!    computes the `P` convolutions for its canonical elements *and their
 //!    mirrors*, symmetrises them element-wise, and transposes `P^≶`/`P^R`
 //!    back;
-//! 3. the `W` systems are assembled and solved per owned energy (again
-//!    spatially decomposed when `P_S > 1`), `W^≶` is transposed forward
+//! 3. the `W` systems are assembled and solved in the same chunks through
+//!    `quatrex_core::w_step_batch`, `W^≶` is transposed forward
 //!    again, the `Σ` convolutions run on the element slices, and
 //!    `Σ^≶`/`Σ^R` are transposed back to their energy owners;
 //! 4. the self-energies are mixed per owned energy and the convergence norms
 //!    and observables are allreduced.
 //!
-//! Because every per-energy and per-element kernel is the *same function* the
-//! sequential driver calls (`g_step_energy`, `w_step_energy`,
+//! There is one chunk path: `kernel_batch = 1` is a chunk size, not a
+//! separate per-energy path, and every chunk size gives bit-identical
+//! results. Because every step and per-element kernel is the *same function*
+//! the sequential driver calls (`g_step_batch`, `w_step_batch`,
 //! `polarization_series`, `self_energy_series`, `causal_retarded_series`,
 //! `mix_sigma_energy`), the distributed state trajectory matches the
 //! sequential one bit-for-bit at `P_S = 1` except for the allreduce-based
@@ -40,25 +46,26 @@
 
 use quatrex_probe::clock::Instant;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
-use quatrex_core::assembly::{assemble_g, assemble_w};
 use quatrex_core::convolution::{
     causal_retarded_series, polarization_series_accumulate, self_energy_series_accumulate,
 };
 use quatrex_core::observables::{integrate_current, Observables, SpectralData};
 use quatrex_core::scba::{
-    g_step_energy, g_step_finish, mix_sigma_energy, w_step_energy, KernelTimings, ScbaConfig,
+    energy_chunks, g_step_batch, mix_sigma_energy, rgf_batch_solve, w_step_batch, KernelTimings,
+    ScbaConfig, StagedSystem,
 };
 use quatrex_device::{thermal_energy_ev, Device, DeviceParams, EnergyGrid};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::CMatrix;
-use quatrex_obc::ObcMemoizer;
+use quatrex_obc::{ObcMemoizer, Subsystem};
 use quatrex_probe::{RankTrace, Timeline};
 use quatrex_rgf::{
-    partition_layout_balanced, probe_partition_flops, rgf_solve_batch_into, separator_blocks,
-    spatial_partition_layout, RgfBatchScratch, RgfScratch, SelectedSolution, SpatialPartition,
+    partition_layout_balanced, probe_partition_flops, separator_blocks, spatial_partition_layout,
+    RgfBatchScratch, RgfError, SelectedSolution, SpatialPartition,
 };
 use quatrex_runtime::{
     CommHandle, CommPhase, CommStats, DecompositionPlan, RankContext, ThreadComm,
@@ -463,14 +470,11 @@ impl DistScbaSolver {
             "energy_batches must be at least 1",
         );
         let n_ranks = self.config.n_ranks;
-        let h = Arc::new(self.device.hamiltonian_bt());
-        let v = Arc::new({
-            let mut v = self.device.coulomb_bt();
-            if cfg.interaction_scale != 1.0 {
-                v.scale_mut(c64::new(cfg.interaction_scale, 0.0));
-            }
-            v
-        });
+        let h = self.device.hamiltonian_bt();
+        let mut v = self.device.coulomb_bt();
+        if cfg.interaction_scale != 1.0 {
+            v.scale_mut(c64::new(cfg.interaction_scale, 0.0));
+        }
         if self.config.spatial_partitions > 1 {
             assert!(
                 h.n_blocks() >= 2 * self.config.spatial_partitions,
@@ -487,79 +491,60 @@ impl DistScbaSolver {
         // balanced layout IS the uniform one — skip the probe and report the
         // run as uniform.
         let balanced = self.config.balanced_partitions && self.config.spatial_partitions > 2;
-        let spatial_layout: Arc<Vec<SpatialPartition>> =
-            Arc::new(if self.config.spatial_partitions > 1 {
-                let p_s = self.config.spatial_partitions;
-                if balanced {
-                    let probe = probe_partition_flops(h.n_blocks(), h.block_size(), p_s, 2)
-                        .expect("FLOP probe of the spatial layout failed"); // lint:allow(no-unwrap): a failed FLOP probe means the layout constructor is broken
-                    partition_layout_balanced(h.n_blocks(), p_s, &probe)
-                } else {
-                    spatial_partition_layout(h.n_blocks(), p_s)
-                }
-                // lint:allow(no-unwrap): the layout was validated against n_blocks at config build
-                .expect("spatial partition layout rejected (too few blocks for P_S)")
+        let spatial_layout: Vec<SpatialPartition> = if self.config.spatial_partitions > 1 {
+            let p_s = self.config.spatial_partitions;
+            if balanced {
+                let probe = probe_partition_flops(h.n_blocks(), h.block_size(), p_s, 2)
+                    .expect("FLOP probe of the spatial layout failed"); // lint:allow(no-unwrap): a failed FLOP probe means the layout constructor is broken
+                partition_layout_balanced(h.n_blocks(), p_s, &probe)
             } else {
-                Vec::new()
-            });
-        let plan = Arc::new(self.plan());
-        let energies = Arc::new(self.grid.points());
+                spatial_partition_layout(h.n_blocks(), p_s)
+            }
+            // lint:allow(no-unwrap): the layout was validated against n_blocks at config build
+            .expect("spatial partition layout rejected (too few blocks for P_S)")
+        } else {
+            Vec::new()
+        };
+        let plan = self.plan();
         let de = self.grid.spacing();
-        let kt = thermal_energy_ev(cfg.temperature_k);
         let ne = self.grid.len();
         let nb = h.n_blocks();
+        let bs = h.block_size();
         if let Some(w) = initial {
             assert!(
-                w.n_energies == ne && w.n_blocks == nb && w.block_size == h.block_size(),
+                w.n_energies == ne && w.n_blocks == nb && w.block_size == bs,
                 "warm state shape ({} energies, {} blocks of {}) disagrees with the run \
-                 ({ne} energies, {nb} blocks of {})",
+                 ({ne} energies, {nb} blocks of {bs})",
                 w.n_energies,
                 w.n_blocks,
                 w.block_size,
-                h.block_size(),
             );
         }
-        let warm: Option<Arc<WarmState>> = initial.map(|w| Arc::new(w.clone()));
         let capture = self.config.capture_state;
-        let bs = h.block_size();
-        let flops = Arc::new(FlopCounter::new());
-        let timings = Arc::new(KernelTimings::default());
 
-        // One shared clock zero for every rank's probe recorder, taken before
-        // the threads spawn so the merged tracks align.
-        let epoch = Instant::now();
+        let inputs = Arc::new(RankInputs {
+            kt: thermal_energy_ev(cfg.temperature_k),
+            cfg,
+            h,
+            v,
+            plan,
+            parts: spatial_layout,
+            energies: self.grid.points(),
+            de,
+            rebalance: self.config.rebalance_energies,
+            n_batches: self.config.energy_batches,
+            probe: self.config.probe,
+            // One shared clock zero for every rank's probe recorder, taken
+            // before the threads spawn so the merged tracks align.
+            epoch: Instant::now(),
+            warm: initial.cloned(),
+            capture,
+            flops: FlopCounter::new(),
+            timings: KernelTimings::default(),
+        });
         let rank_body = {
-            let cfg = cfg.clone();
-            let (h, v, plan, energies) = (h, v, Arc::clone(&plan), energies);
-            let (flops, timings) = (Arc::clone(&flops), Arc::clone(&timings));
-            let rebalance = self.config.rebalance_energies;
-            let n_batches = self.config.energy_batches;
-            let probe = self.config.probe;
-            let layout = Arc::clone(&spatial_layout);
-            let warm = warm.clone();
-            move |ctx: RankContext<Vec<c64>>| -> RankOut {
-                rank_main(
-                    &ctx,
-                    &cfg,
-                    &h,
-                    &v,
-                    &plan,
-                    &layout,
-                    &energies,
-                    de,
-                    kt,
-                    ne,
-                    nb,
-                    rebalance,
-                    n_batches,
-                    probe,
-                    epoch,
-                    warm.as_deref(),
-                    capture,
-                    &flops,
-                    &timings,
-                )
-            }
+            let inputs = Arc::clone(&inputs);
+            move |ctx: RankContext<Vec<c64>>| -> RankOut { rank_main(&ctx, &inputs) }
         };
         let (mut results, stats) = ThreadComm::run(n_ranks, rank_body);
         let mut rank0 = results.remove(0);
@@ -612,7 +597,7 @@ impl DistScbaSolver {
             |cat| cat.starts_with("conv."),
         );
         let time_imbalance = timeline.imbalance_factor(|cat| !cat.starts_with("comm."));
-        let flop_rates = phase_flop_rates(&phase_seconds, &flops);
+        let flop_rates = phase_flop_rates(&phase_seconds, &inputs.flops);
 
         // Per-iteration memoizer hit rate: the per-rank snapshots are
         // cumulative, so consecutive differences give each iteration's solves.
@@ -637,7 +622,7 @@ impl DistScbaSolver {
         }
 
         let report = self.build_report(
-            &plan,
+            &inputs.plan,
             &stats,
             balanced,
             rank0.full_iterations,
@@ -685,14 +670,14 @@ impl DistScbaSolver {
             None
         };
         let result_flops = FlopCounter::new();
-        result_flops.merge(&flops);
+        result_flops.merge(&inputs.flops);
         DistScbaResult {
             iterations: rank0.iterations,
             converged: rank0.converged,
             residual_history: rank0.residual_history,
             current_history: rank0.current_history,
             observables: rank0.observables,
-            timings: copy_timings(&timings),
+            timings: copy_timings(&inputs.timings),
             flops: result_flops,
             memoizer_hit_rate: if memo_total > 0 {
                 memo_hits as f64 / memo_total as f64
@@ -778,14 +763,12 @@ struct ProbeMetrics {
 
 /// Join the probe's per-category wall seconds with the [`FlopCounter`]
 /// accounting into measured FLOP/s per phase. Only phases with nonzero
-/// seconds *and* nonzero FLOPs appear; the per-subsystem RGF entries come
-/// from the `g.rgf`/`w.rgf` categories at `P_S = 1` when `kernel_batch = 1`,
-/// or the `g.rgf.batch`/`w.rgf.batch` categories when the energy-batched
-/// kernel path runs (the two paths are mutually exclusive per run, so the
-/// batched rate is visibly attributed to batched work), while the cooperative
-/// spatial solves (`P_S > 1`) report one combined `spatial.rgf` rate (the
-/// partition eliminations/recoveries and the reduced systems serve both
-/// subsystems and cannot be split by category).
+/// seconds *and* nonzero FLOPs appear. At `P_S = 1` the per-subsystem RGF
+/// rates come from the `g.rgf.batch`/`w.rgf.batch` categories of the batched
+/// chunk solves; the cooperative spatial solves (`P_S > 1`) report one
+/// combined `spatial.rgf` rate (the partition eliminations/recoveries and
+/// the reduced systems serve both subsystems and cannot be split by
+/// category).
 fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec<(String, f64)> {
     let secs = |cats: &[&str]| -> f64 {
         phase_seconds
@@ -805,7 +788,6 @@ fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec
         flops.get(FlopKind::GObc),
         secs(&["g.assembly"]),
     );
-    push("g.rgf", flops.get(FlopKind::GRgf), secs(&["g.rgf"]));
     push(
         "g.rgf.batch",
         flops.get(FlopKind::GRgf),
@@ -816,7 +798,6 @@ fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec
         + flops.get(FlopKind::WAssemblyLhs)
         + flops.get(FlopKind::WAssemblyRhs);
     push("w.assembly", w_assembly, secs(&["w.assembly"]));
-    push("w.rgf", flops.get(FlopKind::WRgf), secs(&["w.rgf"]));
     push(
         "w.rgf.batch",
         flops.get(FlopKind::WRgf),
@@ -1211,32 +1192,44 @@ fn backward_pipeline(
     out
 }
 
-/// The per-rank SCBA main loop.
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    ctx: &RankContext<Vec<c64>>,
-    cfg: &ScbaConfig,
-    h: &BlockTridiagonal,
-    v: &BlockTridiagonal,
-    plan: &TranspositionPlan,
-    parts: &[SpatialPartition],
-    energies: &[f64],
+/// The read-only inputs every rank's SCBA loop shares, built once per run.
+struct RankInputs {
+    cfg: ScbaConfig,
+    h: BlockTridiagonal,
+    v: BlockTridiagonal,
+    plan: TranspositionPlan,
+    /// The spatial partition layout (empty at `P_S = 1`).
+    parts: Vec<SpatialPartition>,
+    energies: Vec<f64>,
     de: f64,
     kt: f64,
-    ne: usize,
-    nb: usize,
     rebalance: bool,
     n_batches: usize,
     probe: bool,
     epoch: Instant,
-    warm: Option<&WarmState>,
+    warm: Option<WarmState>,
     capture: bool,
-    flops: &FlopCounter,
-    timings: &KernelTimings,
-) -> RankOut {
+    flops: FlopCounter,
+    timings: KernelTimings,
+}
+
+/// The per-rank SCBA main loop.
+fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
+    let RankInputs {
+        cfg,
+        h,
+        v,
+        plan,
+        parts,
+        energies,
+        flops,
+        timings,
+        ..
+    } = inputs;
+    let (de, kt, ne, nb) = (inputs.de, inputs.kt, energies.len(), h.n_blocks());
     let rank = ctx.rank();
-    if probe {
-        quatrex_probe::install(rank, epoch);
+    if inputs.probe {
+        quatrex_probe::install(rank, inputs.epoch);
     }
     let grid = RankGrid::new(ctx.n_ranks(), plan.spatial_partitions);
     let p_s = grid.spatial_partitions;
@@ -1251,7 +1244,7 @@ fn rank_main(
     // Rebalancing mutates the energy ownership between iterations; only then
     // does each rank take a private plan copy (the default path keeps the
     // shared, read-only plan).
-    let mut plan_rebalanced: Option<TranspositionPlan> = rebalance.then(|| plan.clone());
+    let mut plan_rebalanced: Option<TranspositionPlan> = inputs.rebalance.then(|| plan.clone());
     let bs = h.block_size();
     let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
 
@@ -1260,13 +1253,41 @@ fn rank_main(
     } else {
         None
     };
-    // Per-rank RGF scratch: all owned energies share one transport-cell
-    // shape, so the buffers stay warm across energies and iterations.
-    let mut rgf_scratch = RgfScratch::new();
-    // Batch scratch of the energy-batched kernel path (`cfg.kernel_batch > 1`
-    // with `P_S = 1`): staged operand batches and the batch arena stay warm
-    // across kernel batches and iterations.
+    // The chunk solver of this rank. At P_S = 1 it is one energy-batched
+    // RGF call whose staged operands and batch arena stay warm across chunks
+    // and iterations. At P_S > 1 it is the group's collective
+    // nested-dissection solve, which non-leaders join with zero systems; no
+    // span wraps it, so its waits are not booked as busy time.
     let mut rgf_batch_scratch = RgfBatchScratch::new();
+    let mut solve_chunk = |systems: Vec<StagedSystem>,
+                           subsystem: Subsystem,
+                           n_owned: usize,
+                           traffic: &mut SpatialTraffic|
+     -> Result<Vec<SelectedSolution>, RgfError> {
+        if p_s == 1 {
+            return rgf_batch_solve(systems, &mut rgf_batch_scratch, subsystem, flops, timings);
+        }
+        let (kind, slot) = match subsystem {
+            Subsystem::Electron => (FlopKind::GRgf, &timings.g_rgf_ns),
+            Subsystem::ScreenedCoulomb => (FlopKind::WRgf, &timings.w_rgf_ns),
+        };
+        let (sols, chunk_traffic) = spatial_phase_solve(
+            ctx,
+            &grid,
+            parts,
+            &separators,
+            n_owned,
+            systems,
+            nb,
+            bs,
+            flops,
+            kind,
+            timings,
+            slot,
+        );
+        traffic.merge(&chunk_traffic);
+        Ok(sols)
+    };
 
     // Scattering self-energies for the owned energies (energy-major, held by
     // the group leader; non-leaders carry no per-energy state).
@@ -1283,7 +1304,7 @@ fn rank_main(
     // owned energies and pre-fill the OBC memoizer — the identical adoption
     // the rebalancer's migration receive path performs (the shape was
     // validated against the grid before the ranks spawned).
-    if let Some(w) = warm {
+    if let Some(w) = &inputs.warm {
         if is_leader {
             let my_e0 = plan.energy_ranges[group].clone();
             for (k_local, k) in my_e0.clone().enumerate() {
@@ -1327,13 +1348,27 @@ fn rank_main(
         let plan_local: &TranspositionPlan = plan_rebalanced.as_ref().unwrap_or(plan);
         // The batch schedule follows the (possibly rebalanced) energy
         // ownership of this iteration.
-        let batch_plan = TranspositionBatchPlan::new(plan_local, n_batches);
+        let batch_plan = TranspositionBatchPlan::new(plan_local, inputs.n_batches);
         let my_e = plan_local.energy_ranges[group].clone();
         let n_local = my_e.len();
         let n_state = if is_leader { n_local } else { 0 };
         // Wall seconds each owned energy spends in assembly + solve this
         // iteration — the measured cost weights of the next rebalance.
         let mut energy_seconds = vec![0.0f64; n_state];
+        // The energy chunks of both steps, as local energy ranges. At P_S = 1
+        // a chunk holds at most `kernel_batch` energies and never straddles a
+        // transposition batch, so the data a solve produces is exactly the
+        // data the next pipelined transposition ships. At P_S > 1 the one
+        // chunk is the group's whole owned range.
+        let chunks: Vec<Range<usize>> = if p_s == 1 {
+            batch_plan.local_ranges[group]
+                .iter()
+                .flat_map(|lr| energy_chunks(lr.clone(), cfg.kernel_batch))
+                .collect()
+        } else {
+            std::iter::once(0..n_state).collect()
+        };
+        let global = |c: &Range<usize>| my_e.start + c.start..my_e.start + c.end;
 
         // ------------------------------------------------------------ G step
         let mut g_lesser = Vec::with_capacity(n_state);
@@ -1341,175 +1376,24 @@ fn rank_main(
         local_spectrum = Vec::with_capacity(n_state);
         local_dos = Vec::with_capacity(n_state);
         local_traces = Vec::with_capacity(n_state);
-        if p_s == 1 && cfg.kernel_batch <= 1 {
-            for (k_local, k) in my_e.clone().enumerate() {
-                // One span per owned energy; its measured duration doubles as
-                // the rebalancer's cost weight (same clock as the trace).
-                let (out, secs) = quatrex_probe::span_timed("scba.g.energy", "g.energy", || {
-                    g_step_energy(
-                        h,
-                        energies[k],
-                        k,
-                        cfg,
-                        kt,
-                        Some(&sigma_r[k_local]),
-                        Some(&sigma_l[k_local]),
-                        Some(&sigma_g[k_local]),
-                        memoizer.as_mut(),
-                        &mut rgf_scratch,
-                        flops,
-                        timings,
-                    )
-                });
-                let out = out.expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
-                energy_seconds[k_local] += secs;
-                local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
-                g_lesser.push(out.lesser);
-                g_greater.push(out.greater);
-                local_spectrum.push(out.current_spectrum);
-                local_dos.push(out.dos_local);
-            }
-        } else if p_s == 1 {
-            // Energy-batched kernel path: assembly stays per energy (the OBC
-            // cascade and memoizer are sequential per rank), the RGF solves
-            // run batched. Kernel batches are aligned with the transposition
-            // batches — a kernel batch never straddles a batch boundary, so
-            // the data a solve produces is exactly the data the next
-            // pipelined transposition ships.
-            for b in 0..batch_plan.n_batches {
-                let lr = batch_plan.local_ranges[group][b].clone();
-                let mut s = lr.start;
-                while s < lr.end {
-                    let t = (s + cfg.kernel_batch).min(lr.end);
-                    let mut asms = Vec::with_capacity(t - s);
-                    for k_local in s..t {
-                        let k = my_e.start + k_local;
-                        let (asm, secs) =
-                            quatrex_probe::span_timed("g.assembly", "g.assembly", || {
-                                assemble_g(
-                                    h,
-                                    energies[k],
-                                    cfg.eta,
-                                    k,
-                                    Some(&sigma_r[k_local]),
-                                    Some(&sigma_l[k_local]),
-                                    Some(&sigma_g[k_local]),
-                                    cfg.mu_left,
-                                    cfg.mu_right,
-                                    kt,
-                                    cfg.obc_method_g,
-                                    memoizer.as_mut(),
-                                    flops,
-                                )
-                            });
-                        timings.add_seconds(&timings.g_assembly_ns, secs);
-                        energy_seconds[k_local] += secs;
-                        asms.push(asm);
-                    }
-                    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
-                    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-                        .iter()
-                        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
-                        .collect();
-                    let rhs_slices: Vec<&[&BlockTridiagonal]> =
-                        rhs.iter().map(|r| r.as_slice()).collect();
-                    let mut sols = vec![SelectedSolution::zeros(nb, bs, 2); t - s];
-                    let (res, secs) =
-                        quatrex_probe::span_timed("scba.g.rgf.batch", "g.rgf.batch", || {
-                            rgf_solve_batch_into(
-                                &systems,
-                                &rhs_slices,
-                                &mut sols,
-                                &mut rgf_batch_scratch,
-                            )
-                        });
-                    res.expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
-                    timings.add_seconds(&timings.g_rgf_ns, secs);
-                    // The batched solve is one span; its cost is split evenly
-                    // across the batch for the rebalancer's weights (the
-                    // per-energy work inside one batch is identical by
-                    // construction).
-                    let per_energy = secs / (t - s) as f64;
-                    for (j, sol) in sols.into_iter().enumerate() {
-                        flops.add(FlopKind::GRgf, sol.flops);
-                        energy_seconds[s + j] += per_energy;
-                        let mut lessers = sol.lesser.into_iter();
-                        let gl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        let gg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        let out = g_step_finish(
-                            &asms[j].sigma_obc_left_lesser,
-                            &asms[j].sigma_obc_left_greater,
-                            sol.retarded,
-                            gl,
-                            gg,
-                            cfg,
-                        );
-                        local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
-                        g_lesser.push(out.lesser);
-                        g_greater.push(out.greater);
-                        local_spectrum.push(out.current_spectrum);
-                        local_dos.push(out.dos_local);
-                    }
-                    s = t;
-                }
-            }
-        } else {
-            // Leader assembles; the group's spatial ranks solve cooperatively.
-            let mut systems = Vec::with_capacity(n_state);
-            let mut obc_left: Vec<(CMatrix, CMatrix)> = Vec::with_capacity(n_state);
-            for (k_local, k) in my_e.clone().enumerate().take(n_state) {
-                let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
-                    assemble_g(
-                        h,
-                        energies[k],
-                        cfg.eta,
-                        k,
-                        Some(&sigma_r[k_local]),
-                        Some(&sigma_l[k_local]),
-                        Some(&sigma_g[k_local]),
-                        cfg.mu_left,
-                        cfg.mu_right,
-                        kt,
-                        cfg.obc_method_g,
-                        memoizer.as_mut(),
-                        flops,
-                    )
-                });
-                timings.add_seconds(&timings.g_assembly_ns, secs);
-                energy_seconds[k_local] += secs;
-                obc_left.push((
-                    asm.sigma_obc_left_lesser.clone(),
-                    asm.sigma_obc_left_greater.clone(),
-                ));
-                systems.push((asm.system, asm.rhs_lesser, asm.rhs_greater));
-            }
-            let (sols, traffic) = spatial_phase_solve(
-                ctx,
-                &grid,
-                parts,
-                &separators,
-                n_local,
-                systems,
-                nb,
-                bs,
+        for c in &chunks {
+            let outs = g_step_batch(
+                h,
+                energies,
+                global(c),
+                cfg,
+                kt,
+                &sigma_r[c.clone()],
+                &sigma_l[c.clone()],
+                &sigma_g[c.clone()],
+                memoizer.as_mut(),
+                |systems| solve_chunk(systems, Subsystem::Electron, n_local, &mut traffic_g),
                 flops,
-                FlopKind::GRgf,
                 timings,
-                &timings.g_rgf_ns,
-            );
-            traffic_g.merge(&traffic);
-            for (k_local, sol) in sols.into_iter().enumerate() {
-                let mut lessers = sol.lesser.into_iter();
-                let gl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                let gg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                let out = g_step_finish(
-                    &obc_left[k_local].0,
-                    &obc_left[k_local].1,
-                    sol.retarded,
-                    gl,
-                    gg,
-                    cfg,
-                );
+            )
+            .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
+            for (k_local, out) in c.clone().zip(outs) {
+                energy_seconds[k_local] += out.seconds;
                 local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
                 g_lesser.push(out.lesser);
                 g_greater.push(out.greater);
@@ -1629,138 +1513,25 @@ fn rank_main(
         let mut w_lesser = Vec::with_capacity(n_state);
         let mut w_greater = Vec::with_capacity(n_state);
         let mut local_trunc = 0.0f64;
-        if p_s == 1 && cfg.kernel_batch <= 1 {
-            for (k_local, k) in my_e.clone().enumerate() {
-                let (out, secs) = quatrex_probe::span_timed("scba.w.energy", "w.energy", || {
-                    w_step_energy(
-                        v,
-                        &p_retarded[k_local],
-                        &p_lesser[k_local],
-                        &p_greater[k_local],
-                        k,
-                        cfg,
-                        memoizer.as_mut(),
-                        &mut rgf_scratch,
-                        flops,
-                        timings,
-                    )
-                });
-                let out = out.expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
-                energy_seconds[k_local] += secs;
+        for c in &chunks {
+            let outs = w_step_batch(
+                v,
+                &p_retarded[c.clone()],
+                &p_lesser[c.clone()],
+                &p_greater[c.clone()],
+                global(c),
+                cfg,
+                memoizer.as_mut(),
+                |systems| solve_chunk(systems, Subsystem::ScreenedCoulomb, n_local, &mut traffic_w),
+                flops,
+                timings,
+            )
+            .expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
+            for (k_local, out) in c.clone().zip(outs) {
+                energy_seconds[k_local] += out.seconds;
                 local_trunc = local_trunc.max(out.truncation);
                 w_lesser.push(out.lesser);
                 w_greater.push(out.greater);
-            }
-        } else if p_s == 1 {
-            // Energy-batched W solves, aligned with the transposition batches
-            // like the G step.
-            for b in 0..batch_plan.n_batches {
-                let lr = batch_plan.local_ranges[group][b].clone();
-                let mut s = lr.start;
-                while s < lr.end {
-                    let t = (s + cfg.kernel_batch).min(lr.end);
-                    let mut asms = Vec::with_capacity(t - s);
-                    for k_local in s..t {
-                        let k = my_e.start + k_local;
-                        let (asm, secs) =
-                            quatrex_probe::span_timed("w.assembly", "w.assembly", || {
-                                assemble_w(
-                                    v,
-                                    &p_retarded[k_local],
-                                    &p_lesser[k_local],
-                                    &p_greater[k_local],
-                                    k,
-                                    cfg.obc_method_w,
-                                    memoizer.as_mut(),
-                                    flops,
-                                )
-                            });
-                        timings.add_seconds(&timings.w_assembly_ns, secs);
-                        energy_seconds[k_local] += secs;
-                        local_trunc = local_trunc.max(asm.truncation_error);
-                        asms.push(asm);
-                    }
-                    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
-                    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-                        .iter()
-                        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
-                        .collect();
-                    let rhs_slices: Vec<&[&BlockTridiagonal]> =
-                        rhs.iter().map(|r| r.as_slice()).collect();
-                    let mut sols = vec![SelectedSolution::zeros(nb, bs, 2); t - s];
-                    let (res, secs) =
-                        quatrex_probe::span_timed("scba.w.rgf.batch", "w.rgf.batch", || {
-                            rgf_solve_batch_into(
-                                &systems,
-                                &rhs_slices,
-                                &mut sols,
-                                &mut rgf_batch_scratch,
-                            )
-                        });
-                    res.expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
-                    timings.add_seconds(&timings.w_rgf_ns, secs);
-                    let per_energy = secs / (t - s) as f64;
-                    for (j, sol) in sols.into_iter().enumerate() {
-                        flops.add(FlopKind::WRgf, sol.flops);
-                        energy_seconds[s + j] += per_energy;
-                        let mut lessers = sol.lesser.into_iter();
-                        let mut wl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        let mut wg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        if cfg.enforce_symmetry {
-                            wl.symmetrize_negf();
-                            wg.symmetrize_negf();
-                        }
-                        w_lesser.push(wl);
-                        w_greater.push(wg);
-                    }
-                    s = t;
-                }
-            }
-        } else {
-            let mut systems = Vec::with_capacity(n_state);
-            for (k_local, k) in my_e.clone().enumerate().take(n_state) {
-                let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
-                    assemble_w(
-                        v,
-                        &p_retarded[k_local],
-                        &p_lesser[k_local],
-                        &p_greater[k_local],
-                        k,
-                        cfg.obc_method_w,
-                        memoizer.as_mut(),
-                        flops,
-                    )
-                });
-                timings.add_seconds(&timings.w_assembly_ns, secs);
-                energy_seconds[k_local] += secs;
-                local_trunc = local_trunc.max(asm.truncation_error);
-                systems.push((asm.system, asm.rhs_lesser, asm.rhs_greater));
-            }
-            let (sols, traffic) = spatial_phase_solve(
-                ctx,
-                &grid,
-                parts,
-                &separators,
-                n_local,
-                systems,
-                nb,
-                bs,
-                flops,
-                FlopKind::WRgf,
-                timings,
-                &timings.w_rgf_ns,
-            );
-            traffic_w.merge(&traffic);
-            for sol in sols {
-                let mut lessers = sol.lesser.into_iter();
-                let mut wl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                let mut wg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                if cfg.enforce_symmetry {
-                    wl.symmetrize_negf();
-                    wg.symmetrize_negf();
-                }
-                w_lesser.push(wl);
-                w_greater.push(wg);
             }
         }
         // Global truncation maximum (tiny ordered gather).
@@ -1984,7 +1755,7 @@ fn rank_main(
     // full-grid state regardless of how rebalancing moved ownership.
     let mut final_sigma = Vec::new();
     let mut final_obc = Vec::new();
-    if capture && is_leader {
+    if inputs.capture && is_leader {
         let final_e = plan_rebalanced.as_ref().unwrap_or(plan).energy_ranges[group].clone();
         let sl = std::mem::take(&mut sigma_l);
         let sg = std::mem::take(&mut sigma_g);

@@ -27,7 +27,7 @@
 use quatrex_probe::clock::Instant;
 use std::sync::atomic::AtomicU64;
 
-use quatrex_core::scba::KernelTimings;
+use quatrex_core::scba::{KernelTimings, StagedSystem};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_rgf::{
@@ -217,7 +217,7 @@ pub fn spatial_phase_solve(
     parts: &[SpatialPartition],
     separators: &[usize],
     n_owned: usize,
-    systems: Vec<(BlockTridiagonal, BlockTridiagonal, BlockTridiagonal)>,
+    systems: Vec<StagedSystem>,
     nb: usize,
     bs: usize,
     flops: &FlopCounter,
