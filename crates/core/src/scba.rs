@@ -121,12 +121,17 @@ pub struct GStepOutput {
 /// matrix and its lesser and greater right-hand sides.
 pub type StagedSystem = (BlockTridiagonal, BlockTridiagonal, BlockTridiagonal);
 
-/// Cut `range` into consecutive energy chunks of at most `size` points, the
-/// unit of [`g_step_batch`] and [`w_step_batch`]. A `size` of 0 counts as 1.
-pub fn energy_chunks(range: Range<usize>, size: usize) -> impl Iterator<Item = Range<usize>> {
-    let size = size.max(1);
-    let end = range.end;
-    range.step_by(size).map(move |s| s..(s + size).min(end))
+/// Cut `range` into consecutive near-equal energy chunks of at most `size`
+/// points, the unit of [`g_step_batch`] and [`w_step_batch`], their count a
+/// multiple of `workers` unless the range holds fewer points than that. A
+/// `size` or `workers` of 0 counts as 1. 12 points at `size = 8` become
+/// 6 + 6 on one or two workers, and 4 points become 2 + 2 on two.
+pub fn energy_chunks(range: Range<usize>, size: usize, workers: usize) -> Vec<Range<usize>> {
+    let n = range.len();
+    let workers = workers.max(1);
+    let count = (n.div_ceil(size.max(1)).div_ceil(workers) * workers).min(n);
+    let bound = |i: usize| range.start + i * n / count;
+    (0..count).map(|i| bound(i)..bound(i + 1)).collect()
 }
 
 /// The single-rank chunk solver: one energy-batched RGF solve
@@ -419,9 +424,12 @@ pub struct ScbaConfig {
     /// Chunk size of the G and W steps ([`g_step_batch`] /
     /// [`w_step_batch`]): at most this many energy points share one batched
     /// RGF kernel call, so shared per-call setup is paid once per chunk and
-    /// every block product runs as a `gemm_batch` sweep. It is a size, not a
-    /// code path: every value (`0` counts as `1`) runs the same chunk path
-    /// and gives bit-identical results.
+    /// every block product runs as a `gemm_batch` sweep. Both drivers cut
+    /// their energies with [`energy_chunks`] into near-equal chunks of at
+    /// most this size, their count a multiple of the worker count (one in
+    /// [`ScbaSolver`], a rank's workers in the distributed driver). It is a
+    /// size, not a code path: every value (`0` counts as `1`) runs the same
+    /// chunk path and gives bit-identical results.
     pub kernel_batch: usize,
 }
 
@@ -553,7 +561,7 @@ impl ScbaSolver {
         // share one batched RGF solve, one warm batch scratch and one OBC
         // memoizer (keyed by energy index, so sharing it changes no result),
         // and the chunks run data-parallel without sharing mutable state.
-        let chunks: Vec<Range<usize>> = energy_chunks(0..ne, self.config.kernel_batch).collect();
+        let chunks = energy_chunks(0..ne, self.config.kernel_batch, 1);
         let chunk_state: Vec<Mutex<(ObcMemoizer, RgfBatchScratch)>> = chunks
             .iter()
             .map(|_| {
@@ -859,10 +867,34 @@ mod tests {
     }
 
     #[test]
+    fn energy_chunks_are_near_equal_and_a_multiple_of_the_workers() {
+        let sizes = |chunks: Vec<Range<usize>>| chunks.iter().map(|c| c.len()).collect::<Vec<_>>();
+        assert_eq!(sizes(energy_chunks(0..12, 8, 2)), [6, 6]);
+        assert_eq!(sizes(energy_chunks(0..4, 8, 2)), [2, 2]);
+        assert_eq!(sizes(energy_chunks(0..12, 8, 1)), [6, 6]);
+        assert_eq!(sizes(energy_chunks(0..11, 8, 3)), [3, 4, 4]);
+        assert_eq!(sizes(energy_chunks(0..20, 3, 2)), [2, 3, 2, 3, 2, 3, 2, 3]);
+        assert_eq!(sizes(energy_chunks(5..6, 8, 4)), [1]);
+        assert_eq!(sizes(energy_chunks(0..5, 0, 1)), [1; 5]);
+        assert_eq!(sizes(energy_chunks(0..5, 2, 0)), [1, 2, 2]);
+        assert!(energy_chunks(3..3, 8, 2).is_empty());
+        for (n, size, workers) in [(13, 4, 3), (64, 8, 2), (7, 1, 2), (9, 8, 4), (16, 5, 1)] {
+            let chunks = energy_chunks(2..2 + n, size, workers);
+            assert_eq!(chunks.first().map(|c| c.start), Some(2));
+            assert!(chunks.windows(2).all(|p| p[0].end == p[1].start));
+            assert_eq!(chunks.last().map(|c| c.end), Some(2 + n));
+            assert!(chunks
+                .iter()
+                .all(|c| !c.is_empty() && c.len() <= size.max(1)));
+            assert!(chunks.len().is_multiple_of(workers) || chunks.len() == n);
+        }
+    }
+
+    #[test]
     fn chunk_size_does_not_change_the_results_bitwise() {
-        // Chunks of one energy and ragged chunks of five (16 energies) must
-        // agree exactly: every gemm_batch plane runs the same packing and
-        // micro-kernel code whatever the number of planes.
+        // Chunks of one energy and chunks of at most five (four of four for
+        // 16 energies) must agree exactly: every gemm_batch plane runs the
+        // same packing and micro-kernel code whatever the number of planes.
         let mut single_cfg = fast_config(16, 4);
         single_cfg.kernel_batch = 1;
         let mut batched_cfg = fast_config(16, 4);

@@ -60,6 +60,7 @@ pub mod slab;
 pub mod solver;
 pub mod spatial;
 pub mod warm;
+mod workers;
 
 pub use partition::{energy_cost_weights, partition_weighted};
 pub use report::{DistReport, TranspositionBudget};

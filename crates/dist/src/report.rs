@@ -54,6 +54,13 @@ impl TranspositionBudget {
 pub struct DistReport {
     /// Total flat communicator ranks (`energy_groups · spatial_partitions`).
     pub n_ranks: usize,
+    /// Workers each rank ran on: the rank thread plus its helpers,
+    /// `max(1, cores ÷ n_ranks)`.
+    pub workers_per_rank: usize,
+    /// Rank threads per core of the host (`n_ranks ÷ cores`): above 1 the
+    /// ranks are oversubscribed, below 1 each rank has spare cores for its
+    /// workers.
+    pub rank_threads_per_core: f64,
     /// Energy groups (first decomposition level; the transposition
     /// participants).
     pub energy_groups: usize,
@@ -234,6 +241,8 @@ mod tests {
         let predicted = budget.total_bytes(2);
         let report = DistReport {
             n_ranks: 2,
+            workers_per_rank: 1,
+            rank_threads_per_core: 1.0,
             energy_groups: 2,
             spatial_partitions: 1,
             balanced_partitions: false,
@@ -280,6 +289,8 @@ mod tests {
         let budget = TranspositionBudget::new(100, 8, 2, true);
         let report = DistReport {
             n_ranks: 4,
+            workers_per_rank: 1,
+            rank_threads_per_core: 2.0,
             energy_groups: 2,
             spatial_partitions: 2,
             balanced_partitions: false,

@@ -213,15 +213,22 @@ pub struct EnergySlab {
 
 /// A rank's element-major slice: full energy series of the owned canonical
 /// elements and of their mirrors.
+///
+/// Each component is one contiguous element-major buffer: the series of
+/// local element `e` occupies `[e·N_E, (e+1)·N_E)`. One allocation per
+/// component instead of one per element series keeps building and dropping
+/// a slab cheap at `10⁵` elements.
 #[derive(Debug, Clone)]
 pub struct ElementSlab {
     /// Indices into the canonical element list owned by this rank.
     pub elements: Range<usize>,
-    /// `canonical[c][local_element][energy]`.
-    pub canonical: Vec<Vec<Vec<c64>>>,
-    /// `mirror[c][local_element][energy]` — the series of the transposed
-    /// element; for self-mirror elements this repeats the canonical series.
-    pub mirror: Vec<Vec<Vec<c64>>>,
+    /// Energy points per series (`N_E`).
+    pub n_energies: usize,
+    /// `canonical[c]`: the canonical series of component `c`, element-major.
+    pub canonical: Vec<Vec<c64>>,
+    /// `mirror[c]`: the series of the transposed elements, element-major;
+    /// for self-mirror elements this repeats the canonical series.
+    pub mirror: Vec<Vec<c64>>,
 }
 
 impl ElementSlab {
@@ -229,35 +236,48 @@ impl ElementSlab {
     /// ([`TranspositionPlan::absorb_forward_batch`]). Energies that have not
     /// arrived yet read as zero.
     pub fn zeroed(elements: Range<usize>, n_components: usize, n_energies: usize) -> Self {
-        let n_local = elements.len();
-        let zero = || vec![vec![vec![c64::new(0.0, 0.0); n_energies]; n_local]; n_components];
+        let zero = vec![vec![c64::new(0.0, 0.0); elements.len() * n_energies]; n_components];
         Self {
             elements,
-            canonical: zero(),
-            mirror: zero(),
+            n_energies,
+            canonical: zero.clone(),
+            mirror: zero,
         }
+    }
+
+    /// The canonical series of component `c` at local element `e_local`.
+    pub fn canonical_series(&self, c: usize, e_local: usize) -> &[c64] {
+        &self.canonical[c][e_local * self.n_energies..(e_local + 1) * self.n_energies]
+    }
+
+    /// The mirror series of component `c` at local element `e_local`.
+    pub fn mirror_series(&self, c: usize, e_local: usize) -> &[c64] {
+        &self.mirror[c][e_local * self.n_energies..(e_local + 1) * self.n_energies]
     }
 }
 
 /// A backward-travelling component: whether the mirror series ride along or
 /// are reconstructed from the NEGF symmetry at the destination.
+///
+/// The series are element-major like an [`ElementSlab`] component: local
+/// element `e`'s series occupies `[e·N_E, (e+1)·N_E)`.
 pub enum BackComponent<'a> {
     /// Lesser/greater-like component obeying `X_ij = −X*_ji`. Under symmetry
     /// reduction only the canonical series are shipped.
     Symmetric {
-        /// `[local_element][energy]` canonical series.
-        canonical: &'a [Vec<c64>],
-        /// `[local_element][energy]` mirror series (shipped when the plan is
-        /// not symmetry-reduced).
-        mirror: &'a [Vec<c64>],
+        /// Canonical series, element-major.
+        canonical: &'a [c64],
+        /// Mirror series, element-major (shipped when the plan is not
+        /// symmetry-reduced).
+        mirror: &'a [c64],
     },
     /// Retarded-like component with no exploitable symmetry: canonical and
     /// mirror series always ship.
     Full {
-        /// `[local_element][energy]` canonical series.
-        canonical: &'a [Vec<c64>],
-        /// `[local_element][energy]` mirror series.
-        mirror: &'a [Vec<c64>],
+        /// Canonical series, element-major.
+        canonical: &'a [c64],
+        /// Mirror series, element-major.
+        mirror: &'a [c64],
     },
 }
 
@@ -439,12 +459,15 @@ impl TranspositionPlan {
         src_ranges: &[Range<usize>],
     ) {
         let elems = self.element_ranges[rank].clone();
-        let n_local = elems.len();
+        let ne = slab.n_energies;
         for (src, msg) in received.iter().enumerate() {
             let src_energies = src_ranges[src].clone();
             let mut it = msg.iter();
-            for (c, canon_comp) in slab.canonical.iter_mut().enumerate() {
-                for (e_local, series) in canon_comp.iter_mut().enumerate().take(n_local) {
+            for (canon_comp, mirror_comp) in slab.canonical.iter_mut().zip(&mut slab.mirror) {
+                let series = canon_comp
+                    .chunks_exact_mut(ne)
+                    .zip(mirror_comp.chunks_exact_mut(ne));
+                for (e_local, (series, mirror)) in series.enumerate() {
                     let id = self.elements[elems.start + e_local];
                     let self_mirror = id.is_self_mirror();
                     for k in src_energies.clone() {
@@ -454,13 +477,13 @@ impl TranspositionPlan {
                         // self-mirror elements, the NEGF reconstruction under
                         // symmetry reduction, and the explicitly shipped value
                         // below otherwise (which overwrites this one).
-                        slab.mirror[c][e_local][k] = if self_mirror { v } else { -v.conj() };
+                        mirror[k] = if self_mirror { v } else { -v.conj() };
                     }
                 }
             }
             if !self.symmetry_reduced {
                 for mirror_comp in slab.mirror.iter_mut() {
-                    for (e_local, series) in mirror_comp.iter_mut().enumerate().take(n_local) {
+                    for (e_local, series) in mirror_comp.chunks_exact_mut(ne).enumerate() {
                         if self.elements[elems.start + e_local].is_self_mirror() {
                             continue;
                         }
@@ -501,6 +524,7 @@ impl TranspositionPlan {
         dst_ranges: &[Range<usize>],
     ) -> Vec<Vec<c64>> {
         let elems = self.element_ranges[rank].clone();
+        let ne = self.n_energies;
         (0..self.n_ranks)
             .map(|q| {
                 let dst_energies = dst_ranges[q].clone();
@@ -510,7 +534,7 @@ impl TranspositionPlan {
                         BackComponent::Symmetric { canonical, .. } => canonical,
                         BackComponent::Full { canonical, .. } => canonical,
                     };
-                    for series in canonical.iter().take(elems.len()) {
+                    for series in canonical.chunks_exact(ne).take(elems.len()) {
                         for k in dst_energies.clone() {
                             msg.push(series[k]);
                         }
@@ -526,7 +550,7 @@ impl TranspositionPlan {
                         }
                         BackComponent::Full { mirror, .. } => mirror,
                     };
-                    for (e_local, series) in mirror.iter().enumerate().take(elems.len()) {
+                    for (e_local, series) in mirror.chunks_exact(ne).enumerate().take(elems.len()) {
                         if self.elements[elems.start + e_local].is_self_mirror() {
                             continue;
                         }
@@ -805,16 +829,22 @@ mod tests {
                 let want_l = element_series(&gl, id.pos, id.row, id.col);
                 let want_g = element_series(&gg, id.pos, id.row, id.col);
                 assert_eq!(
-                    slab.canonical[0][e_local], want_l,
+                    slab.canonical_series(0, e_local),
+                    want_l,
                     "canonical lesser {id:?}"
                 );
                 assert_eq!(
-                    slab.canonical[1][e_local], want_g,
+                    slab.canonical_series(1, e_local),
+                    want_g,
                     "canonical greater {id:?}"
                 );
                 let m = id.mirror();
                 let want_ml = element_series(&gl, m.pos, m.row, m.col);
-                assert_eq!(slab.mirror[0][e_local], want_ml, "mirror lesser {id:?}");
+                assert_eq!(
+                    slab.mirror_series(0, e_local),
+                    want_ml,
+                    "mirror lesser {id:?}"
+                );
             }
             // Round trip restores the energy-major slices exactly.
             for (k_local, k) in plan.energy_ranges[rank].clone().enumerate() {

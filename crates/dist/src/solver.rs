@@ -13,7 +13,8 @@
 //!    [`ObcMemoizer`]**. The G step runs chunk by chunk through
 //!    `quatrex_core::g_step_batch`, and only the chunk's solver depends on
 //!    the decomposition. With `spatial_partitions == 1` a chunk holds at most
-//!    `kernel_batch` energies and the leader solves it with one
+//!    `kernel_batch` energies, the rank's workers (`crate::workers`) run the
+//!    chunks concurrently, and each solves its chunk with one
 //!    energy-batched RGF call. With `P_S > 1` the chunk is the group's whole
 //!    owned range, and the group's spatial ranks cooperate on it through the
 //!    nested-dissection solver ([`crate::spatial::spatial_phase_solve`]):
@@ -23,8 +24,8 @@
 //! 2. the selected `G^≶` blocks are transposed into element-major layout with
 //!    a real `Alltoallv` among the group leaders (Fig. 3), every leader
 //!    computes the `P` convolutions for its canonical elements *and their
-//!    mirrors*, symmetrises them element-wise, and transposes `P^≶`/`P^R`
-//!    back;
+//!    mirrors* (split over its workers), symmetrises them element-wise, and
+//!    transposes `P^≶`/`P^R` back;
 //! 3. the `W` systems are assembled and solved in the same chunks through
 //!    `quatrex_core::w_step_batch`, `W^≶` is transposed forward
 //!    again, the `Σ` convolutions run on the element slices, and
@@ -81,6 +82,7 @@ use crate::slab::{
 };
 use crate::spatial::{spatial_phase_solve, RankGrid, SpatialTraffic};
 use crate::warm::WarmState;
+use crate::workers::{cores, fork_join, run_chunks, workers_per_rank, ChunkSolve};
 
 /// Configuration of a distributed SCBA run.
 ///
@@ -459,7 +461,21 @@ impl DistScbaSolver {
     /// Panics when the state's grid shape (`N_E`, `N_B`, block size)
     /// disagrees with the solver's device and energy grid — a warm state is
     /// only meaningful across solves of the same discretisation.
+    ///
+    /// Each rank runs on `cores ÷ n_ranks` workers, at least one: the rank
+    /// thread plus helper threads for its energy chunks (at `P_S = 1`) and
+    /// its per-element convolutions. The worker count changes no result;
+    /// [`DistReport::workers_per_rank`] records it.
     pub fn run_warm(&self, initial: Option<&WarmState>) -> DistScbaResult {
+        self.run_with_workers(initial, workers_per_rank(self.config.n_ranks))
+    }
+
+    /// [`DistScbaSolver::run_warm`] on `workers` workers per rank.
+    pub(crate) fn run_with_workers(
+        &self,
+        initial: Option<&WarmState>,
+        workers: usize,
+    ) -> DistScbaResult {
         let cfg = self.config.scba.clone();
         assert!(
             !self.config.symmetry_reduced || cfg.enforce_symmetry,
@@ -533,6 +549,7 @@ impl DistScbaSolver {
             de,
             rebalance: self.config.rebalance_energies,
             n_batches: self.config.energy_batches,
+            workers,
             probe: self.config.probe,
             // One shared clock zero for every rank's probe recorder, taken
             // before the threads spawn so the merged tracks align.
@@ -633,6 +650,7 @@ impl DistScbaSolver {
             rebalance_bytes,
             peak_slab_bytes,
             overlap_window_seconds,
+            inputs.workers,
             ProbeMetrics {
                 phase_seconds,
                 overlap_efficiency,
@@ -705,11 +723,14 @@ impl DistScbaSolver {
         rebalance_bytes: u64,
         peak_slab_bytes: u64,
         overlap_window_seconds: f64,
+        workers_per_rank: usize,
         probe: ProbeMetrics,
     ) -> DistReport {
         use std::sync::atomic::Ordering;
         DistReport {
             n_ranks: plan.n_total_ranks(),
+            workers_per_rank,
+            rank_threads_per_core: plan.n_total_ranks() as f64 / cores() as f64,
             energy_groups: plan.n_ranks,
             spatial_partitions: plan.spatial_partitions,
             // The flag `run` selected the layout with: false at P_S = 2,
@@ -834,117 +855,132 @@ fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror
     }
 }
 
-/// Per-element convolution phase output: canonical and mirror series of the
-/// lesser, greater and retarded components.
-struct ElementPhase {
-    lesser_c: Vec<Vec<c64>>,
-    lesser_m: Vec<Vec<c64>>,
-    greater_c: Vec<Vec<c64>>,
-    greater_m: Vec<Vec<c64>>,
-    retarded_c: Vec<Vec<c64>>,
-    retarded_m: Vec<Vec<c64>>,
-}
-
-impl ElementPhase {
-    fn back_components(&self) -> [BackComponent<'_>; 3] {
-        [
-            BackComponent::Symmetric {
-                canonical: &self.lesser_c,
-                mirror: &self.lesser_m,
-            },
-            BackComponent::Symmetric {
-                canonical: &self.greater_c,
-                mirror: &self.greater_m,
-            },
-            BackComponent::Full {
-                canonical: &self.retarded_c,
-                mirror: &self.retarded_m,
-            },
-        ]
-    }
-}
-
-/// Running per-element convolution accumulators: one series per owned
-/// element (canonical and mirror), filled batch by batch by the
+/// The `[lesser_c, lesser_m, greater_c, greater_m]` buffers of a
+/// convolution accumulator: an element slab with the components
+/// `[lesser, greater]`, filled batch by batch by the
 /// `quatrex_core::convolution::*_accumulate` kernels while later batches are
 /// still in flight.
-struct ConvAccumulators {
-    lesser_c: Vec<Vec<c64>>,
-    lesser_m: Vec<Vec<c64>>,
-    greater_c: Vec<Vec<c64>>,
-    greater_m: Vec<Vec<c64>>,
+fn lesser_greater(acc: &mut ElementSlab) -> [&mut [c64]; 4] {
+    let (lesser_c, greater_c) = acc.canonical.split_at_mut(1);
+    let (lesser_m, greater_m) = acc.mirror.split_at_mut(1);
+    [
+        &mut lesser_c[0],
+        &mut lesser_m[0],
+        &mut greater_c[0],
+        &mut greater_m[0],
+    ]
 }
 
-impl ConvAccumulators {
-    fn zeroed(n_local: usize, ne: usize) -> Self {
-        let zero = || vec![vec![c64::new(0.0, 0.0); ne]; n_local];
-        Self {
-            lesser_c: zero(),
-            lesser_m: zero(),
-            greater_c: zero(),
-            greater_m: zero(),
-        }
-    }
+/// The backward-travelling components of a convolution phase's output slab
+/// (`[lesser, greater, retarded]`).
+fn back_components(phase: &ElementSlab) -> [BackComponent<'_>; 3] {
+    [
+        BackComponent::Symmetric {
+            canonical: &phase.canonical[0],
+            mirror: &phase.mirror[0],
+        },
+        BackComponent::Symmetric {
+            canonical: &phase.canonical[1],
+            mirror: &phase.mirror[1],
+        },
+        BackComponent::Full {
+            canonical: &phase.canonical[2],
+            mirror: &phase.mirror[2],
+        },
+    ]
+}
 
-    /// The phase epilogue after the last batch has been consumed: symmetrise
-    /// the canonical/mirror pairs and build the retarded components causally
-    /// — arithmetic identical to the pre-batch per-element loop.
-    fn finish(
-        mut self,
-        plan: &TranspositionPlan,
-        group: usize,
-        enforce_symmetry: bool,
-        flops: &FlopCounter,
-    ) -> ElementPhase {
-        // The epilogue read of the batch-accumulated series: ordered after
-        // every batch's accumulate (same leader thread, after the batch's
-        // CommHandle::wait) — a pipeline mutation that lets the finish read
-        // overtake an in-flight batch's accumulate is an HB race here.
-        race::access_shared(
-            SharedId::new("dist.conv_accum", group as u64),
-            AccessKind::Read,
-        );
-        let elems = plan.element_ranges[group].clone();
-        let n_local = elems.len();
-        let mut phase = ElementPhase {
-            lesser_c: Vec::with_capacity(n_local),
-            lesser_m: Vec::with_capacity(n_local),
-            greater_c: Vec::with_capacity(n_local),
-            greater_m: Vec::with_capacity(n_local),
-            retarded_c: Vec::with_capacity(n_local),
-            retarded_m: Vec::with_capacity(n_local),
-        };
-        for (e_local, e) in elems.enumerate() {
-            let id = plan.elements[e];
-            let mut lc = std::mem::take(&mut self.lesser_c[e_local]);
-            let mut gc = std::mem::take(&mut self.greater_c[e_local]);
-            let (mut lm, mut gm) = if id.is_self_mirror() {
-                (lc.clone(), gc.clone())
-            } else {
-                (
-                    std::mem::take(&mut self.lesser_m[e_local]),
-                    std::mem::take(&mut self.greater_m[e_local]),
-                )
-            };
-            if enforce_symmetry {
-                symmetrize_series_pair(&mut lc, &mut lm, id.is_self_mirror());
-                symmetrize_series_pair(&mut gc, &mut gm, id.is_self_mirror());
-            }
-            let rc = causal_retarded_series(&lc, &gc, flops);
-            let rm = if id.is_self_mirror() {
-                rc.clone()
-            } else {
-                causal_retarded_series(&lm, &gm, flops)
-            };
-            phase.lesser_c.push(lc);
-            phase.lesser_m.push(lm);
-            phase.greater_c.push(gc);
-            phase.greater_m.push(gm);
-            phase.retarded_c.push(rc);
-            phase.retarded_m.push(rm);
+/// Cut `N` element-major buffers (`ne` values per element) into pieces of
+/// `per` consecutive elements.
+fn split_elements<const N: usize>(
+    mut bufs: [&mut [c64]; N],
+    ne: usize,
+    per: usize,
+) -> impl Iterator<Item = [&mut [c64]; N]> {
+    std::iter::from_fn(move || {
+        let take = (ne * per).min(bufs[0].len());
+        (take > 0).then(|| {
+            bufs.each_mut().map(|b| {
+                let (head, tail) = std::mem::take(b).split_at_mut(take);
+                *b = tail;
+                head
+            })
+        })
+    })
+}
+
+/// Run `f(e_local, series, share_flops)` on every element of `N`
+/// element-major buffers (`ne` values per element), the elements split into
+/// contiguous ranges over `workers` workers. Each share counts its FLOPs
+/// into its own counter, added to `flops` once at the end of the share, so
+/// the workers do not contend on one counter per element.
+fn for_each_element<const N: usize>(
+    bufs: [&mut [c64]; N],
+    ne: usize,
+    workers: usize,
+    flops: &FlopCounter,
+    f: &(impl Fn(usize, [&mut [c64]; N], &FlopCounter) + Sync),
+) {
+    let n = bufs[0].len().checked_div(ne).unwrap_or(0);
+    let per = n.div_ceil(workers).max(1);
+    let shares: Vec<_> = split_elements(bufs, ne, per).enumerate().collect();
+    fork_join(shares, &|(share, bufs)| {
+        let share_flops = FlopCounter::new();
+        for (i, series) in split_elements(bufs, ne, 1).enumerate() {
+            f(share * per + i, series, &share_flops);
         }
-        phase
-    }
+        flops.merge(&share_flops);
+    });
+}
+
+/// The phase epilogue after the last batch has been consumed: symmetrise
+/// the accumulated canonical/mirror pairs and append the causally built
+/// retarded component — arithmetic identical to the pre-batch per-element
+/// loop — with the elements split over `workers` workers. Returns the phase
+/// output slab `[lesser, greater, retarded]`.
+fn finish_phase(
+    mut acc: ElementSlab,
+    plan: &TranspositionPlan,
+    group: usize,
+    enforce_symmetry: bool,
+    flops: &FlopCounter,
+    workers: usize,
+) -> ElementSlab {
+    // The epilogue read of the batch-accumulated series: ordered after
+    // every batch's accumulate (same leader thread, after the batch's
+    // CommHandle::wait) — a pipeline mutation that lets the finish read
+    // overtake an in-flight batch's accumulate is an HB race here.
+    race::access_shared(
+        SharedId::new("dist.conv_accum", group as u64),
+        AccessKind::Read,
+    );
+    let ids = &plan.elements[acc.elements.clone()];
+    let ne = acc.n_energies;
+    let mut retarded_c = vec![c64::new(0.0, 0.0); acc.canonical[0].len()];
+    let mut retarded_m = retarded_c.clone();
+    let [lc, lm, gc, gm] = lesser_greater(&mut acc);
+    let bufs = [lc, lm, gc, gm, &mut retarded_c[..], &mut retarded_m[..]];
+    let epilogue = |e_local: usize, [lc, lm, gc, gm, rc, rm]: [&mut [c64]; 6], flops: &_| {
+        let self_mirror = ids[e_local].is_self_mirror();
+        if self_mirror {
+            lm.copy_from_slice(lc);
+            gm.copy_from_slice(gc);
+        }
+        if enforce_symmetry {
+            symmetrize_series_pair(lc, lm, self_mirror);
+            symmetrize_series_pair(gc, gm, self_mirror);
+        }
+        rc.copy_from_slice(&causal_retarded_series(lc, gc, flops));
+        if self_mirror {
+            rm.copy_from_slice(rc);
+        } else {
+            rm.copy_from_slice(&causal_retarded_series(lm, gm, flops));
+        }
+    };
+    for_each_element(bufs, ne, workers, flops, &epilogue);
+    acc.canonical.push(retarded_c);
+    acc.mirror.push(retarded_m);
+    acc
 }
 
 /// In-flight transposition buffer accounting and overlap stopwatch of one
@@ -1205,6 +1241,8 @@ struct RankInputs {
     kt: f64,
     rebalance: bool,
     n_batches: usize,
+    /// Workers per rank (`crate::workers`).
+    workers: usize,
     probe: bool,
     epoch: Instant,
     warm: Option<WarmState>,
@@ -1253,20 +1291,21 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
     } else {
         None
     };
-    // The chunk solver of this rank. At P_S = 1 it is one energy-batched
-    // RGF call whose staged operands and batch arena stay warm across chunks
-    // and iterations. At P_S > 1 it is the group's collective
-    // nested-dissection solve, which non-leaders join with zero systems; no
-    // span wraps it, so its waits are not booked as busy time.
-    let mut rgf_batch_scratch = RgfBatchScratch::new();
-    let mut solve_chunk = |systems: Vec<StagedSystem>,
-                           subsystem: Subsystem,
-                           n_owned: usize,
-                           traffic: &mut SpatialTraffic|
+    // The chunk solvers of this rank, both handed to `run_chunks` at each
+    // step, which uses the one for this P_S. At P_S = 1 each worker solves its
+    // chunks with one energy-batched RGF call on its own scratch, whose
+    // staged operands and batch arena stay warm across chunks and
+    // iterations. At P_S > 1 the one chunk is solved by the group's
+    // collective nested-dissection solve, which non-leaders join with zero
+    // systems; no span wraps it, so its waits are not booked as busy time.
+    let mut scratches: Vec<RgfBatchScratch> = (0..inputs.workers)
+        .map(|_| RgfBatchScratch::new())
+        .collect();
+    let solve_spatial = |systems: Vec<StagedSystem>,
+                         subsystem: Subsystem,
+                         n_owned: usize,
+                         traffic: &mut SpatialTraffic|
      -> Result<Vec<SelectedSolution>, RgfError> {
-        if p_s == 1 {
-            return rgf_batch_solve(systems, &mut rgf_batch_scratch, subsystem, flops, timings);
-        }
         let (kind, slot) = match subsystem {
             Subsystem::Electron => (FlopKind::GRgf, &timings.g_rgf_ns),
             Subsystem::ScreenedCoulomb => (FlopKind::WRgf, &timings.w_rgf_ns),
@@ -1355,44 +1394,63 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         // Wall seconds each owned energy spends in assembly + solve this
         // iteration — the measured cost weights of the next rebalance.
         let mut energy_seconds = vec![0.0f64; n_state];
-        // The energy chunks of both steps, as local energy ranges. At P_S = 1
-        // a chunk holds at most `kernel_batch` energies and never straddles a
-        // transposition batch, so the data a solve produces is exactly the
-        // data the next pipelined transposition ships. At P_S > 1 the one
-        // chunk is the group's whole owned range.
+        // The energy chunks of both steps, as global energy ranges. At
+        // P_S = 1 every transposition batch is cut into a multiple of
+        // `workers` chunks of at most `kernel_batch` energies, run on the
+        // rank's workers; a chunk never straddles a batch, so the data a solve
+        // produces is exactly the data the next pipelined transposition
+        // ships. At P_S > 1 the one chunk is the group's whole owned range.
         let chunks: Vec<Range<usize>> = if p_s == 1 {
             batch_plan.local_ranges[group]
                 .iter()
-                .flat_map(|lr| energy_chunks(lr.clone(), cfg.kernel_batch))
+                .flat_map(|lr| {
+                    let global = my_e.start + lr.start..my_e.start + lr.end;
+                    energy_chunks(global, cfg.kernel_batch, inputs.workers)
+                })
                 .collect()
         } else {
-            std::iter::once(0..n_state).collect()
+            std::iter::once(my_e.start..my_e.start + n_state).collect()
         };
-        let global = |c: &Range<usize>| my_e.start + c.start..my_e.start + c.end;
+        let local = |c: &Range<usize>| c.start - my_e.start..c.end - my_e.start;
 
         // ------------------------------------------------------------ G step
+        let g_step = |c: Range<usize>, memo: Option<&mut ObcMemoizer>, solve: &mut ChunkSolve| {
+            let l = local(&c);
+            g_step_batch(
+                h,
+                energies,
+                c,
+                cfg,
+                kt,
+                &sigma_r[l.clone()],
+                &sigma_l[l.clone()],
+                &sigma_g[l],
+                memo,
+                solve,
+                flops,
+                timings,
+            )
+            .expect("RGF solve failed: the system matrix became singular") // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
+        };
+        let mut spatial_g =
+            |systems| solve_spatial(systems, Subsystem::Electron, n_local, &mut traffic_g);
+        let g_outs = run_chunks(
+            &mut scratches,
+            &chunks,
+            &mut memoizer,
+            &|systems, scratch| {
+                rgf_batch_solve(systems, scratch, Subsystem::Electron, flops, timings)
+            },
+            (p_s > 1).then_some(&mut spatial_g as &mut ChunkSolve),
+            &g_step,
+        );
         let mut g_lesser = Vec::with_capacity(n_state);
         let mut g_greater = Vec::with_capacity(n_state);
         local_spectrum = Vec::with_capacity(n_state);
         local_dos = Vec::with_capacity(n_state);
         local_traces = Vec::with_capacity(n_state);
-        for c in &chunks {
-            let outs = g_step_batch(
-                h,
-                energies,
-                global(c),
-                cfg,
-                kt,
-                &sigma_r[c.clone()],
-                &sigma_l[c.clone()],
-                &sigma_g[c.clone()],
-                memoizer.as_mut(),
-                |systems| solve_chunk(systems, Subsystem::Electron, n_local, &mut traffic_g),
-                flops,
-                timings,
-            )
-            .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
-            for (k_local, out) in c.clone().zip(outs) {
+        for (c, outs) in chunks.iter().zip(g_outs) {
+            for (k_local, out) in local(c).zip(outs) {
                 energy_seconds[k_local] += out.seconds;
                 local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
                 g_lesser.push(out.lesser);
@@ -1417,8 +1475,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         // cross terms against everything arrived so far (exact; see
         // `polarization_series_accumulate`).
         let elems = plan_local.element_ranges[group].clone();
-        let n_elems = elems.len();
-        let mut p_acc = is_leader.then(|| ConvAccumulators::zeroed(n_elems, ne));
+        let mut p_acc = is_leader.then(|| ElementSlab::zeroed(elems.clone(), 2, ne));
         let g_slab = forward_pipeline(
             ctx,
             &grid,
@@ -1439,39 +1496,47 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
                 );
                 quatrex_probe::span("scba.p.accumulate", "conv.p", || {
                     let t = Instant::now();
-                    for e_local in 0..n_elems {
-                        let id = plan_local.elements[elems.start + e_local];
-                        // P_ij(ω) needs G^<_ij, G^>_ji, G^>_ij, G^<_ji; the
-                        // mirrored element swaps canonical and mirror series.
-                        let (gl, gg) = (&slab.canonical[0][e_local], &slab.canonical[1][e_local]);
-                        let (gl_m, gg_m) = (&slab.mirror[0][e_local], &slab.mirror[1][e_local]);
-                        polarization_series_accumulate(
-                            &mut acc.lesser_c[e_local],
-                            &mut acc.greater_c[e_local],
-                            gl,
-                            gg_m,
-                            gg,
-                            gl_m,
-                            batch,
-                            arrived_before,
-                            de,
-                            flops,
-                        );
-                        if !id.is_self_mirror() {
+                    for_each_element(
+                        lesser_greater(acc),
+                        ne,
+                        inputs.workers,
+                        flops,
+                        &|e_local, [lc, lm, gc, gm], flops| {
+                            let id = plan_local.elements[elems.start + e_local];
+                            // P_ij(ω) needs G^<_ij, G^>_ji, G^>_ij, G^<_ji; the
+                            // mirrored element swaps canonical and mirror series.
+                            let gl = slab.canonical_series(0, e_local);
+                            let gg = slab.canonical_series(1, e_local);
+                            let gl_m = slab.mirror_series(0, e_local);
+                            let gg_m = slab.mirror_series(1, e_local);
                             polarization_series_accumulate(
-                                &mut acc.lesser_m[e_local],
-                                &mut acc.greater_m[e_local],
-                                gl_m,
-                                gg,
-                                gg_m,
+                                lc,
+                                gc,
                                 gl,
+                                gg_m,
+                                gg,
+                                gl_m,
                                 batch,
                                 arrived_before,
                                 de,
                                 flops,
                             );
-                        }
-                    }
+                            if !id.is_self_mirror() {
+                                polarization_series_accumulate(
+                                    lm,
+                                    gm,
+                                    gl_m,
+                                    gg,
+                                    gg_m,
+                                    gl,
+                                    batch,
+                                    arrived_before,
+                                    de,
+                                    flops,
+                                );
+                            }
+                        },
+                    );
                     timings.add(&timings.convolution_ns, t);
                 });
             },
@@ -1479,14 +1544,21 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         let p_phase = p_acc.map(|acc| {
             quatrex_probe::span("scba.p.finish", "conv.p", || {
                 let t = Instant::now();
-                let phase = acc.finish(plan_local, group, cfg.enforce_symmetry, flops);
+                let phase = finish_phase(
+                    acc,
+                    plan_local,
+                    group,
+                    cfg.enforce_symmetry,
+                    flops,
+                    inputs.workers,
+                );
                 timings.add(&timings.convolution_ns, t);
                 phase
             })
         });
 
         // ------------------------------------ transposition #2: P backward
-        let p_comps = p_phase.as_ref().map(|p| p.back_components());
+        let p_comps = p_phase.as_ref().map(back_components);
         let mut p_out = backward_pipeline(
             ctx,
             &grid,
@@ -1510,24 +1582,39 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         };
 
         // ------------------------------------------------------------ W step
-        let mut w_lesser = Vec::with_capacity(n_state);
-        let mut w_greater = Vec::with_capacity(n_state);
-        let mut local_trunc = 0.0f64;
-        for c in &chunks {
-            let outs = w_step_batch(
+        let w_step = |c: Range<usize>, memo: Option<&mut ObcMemoizer>, solve: &mut ChunkSolve| {
+            let l = local(&c);
+            w_step_batch(
                 v,
-                &p_retarded[c.clone()],
-                &p_lesser[c.clone()],
-                &p_greater[c.clone()],
-                global(c),
+                &p_retarded[l.clone()],
+                &p_lesser[l.clone()],
+                &p_greater[l],
+                c,
                 cfg,
-                memoizer.as_mut(),
-                |systems| solve_chunk(systems, Subsystem::ScreenedCoulomb, n_local, &mut traffic_w),
+                memo,
+                solve,
                 flops,
                 timings,
             )
-            .expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
-            for (k_local, out) in c.clone().zip(outs) {
+            .expect("W RGF solve failed") // lint:allow(no-unwrap): a singular W system is a fatal numeric error
+        };
+        let mut spatial_w =
+            |systems| solve_spatial(systems, Subsystem::ScreenedCoulomb, n_local, &mut traffic_w);
+        let w_outs = run_chunks(
+            &mut scratches,
+            &chunks,
+            &mut memoizer,
+            &|systems, scratch| {
+                rgf_batch_solve(systems, scratch, Subsystem::ScreenedCoulomb, flops, timings)
+            },
+            (p_s > 1).then_some(&mut spatial_w as &mut ChunkSolve),
+            &w_step,
+        );
+        let mut w_lesser = Vec::with_capacity(n_state);
+        let mut w_greater = Vec::with_capacity(n_state);
+        let mut local_trunc = 0.0f64;
+        for (c, outs) in chunks.iter().zip(w_outs) {
+            for (k_local, out) in local(c).zip(outs) {
                 energy_seconds[k_local] += out.seconds;
                 local_trunc = local_trunc.max(out.truncation);
                 w_lesser.push(out.lesser);
@@ -1544,7 +1631,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         // Σ is linear in W, so each arriving W batch contributes
         // `conv(Δw, g)` against the complete G slab (held since #1) while the
         // next batch flies (see `self_energy_series_accumulate`).
-        let mut s_acc = is_leader.then(|| ConvAccumulators::zeroed(n_elems, ne));
+        let mut s_acc = is_leader.then(|| ElementSlab::zeroed(elems.clone(), 2, ne));
         let w_slab = forward_pipeline(
             ctx,
             &grid,
@@ -1566,34 +1653,40 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
                 );
                 quatrex_probe::span("scba.sigma.accumulate", "conv.sigma", || {
                     let t = Instant::now();
-                    for e_local in 0..n_elems {
-                        let id = plan_local.elements[elems.start + e_local];
-                        // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
-                        self_energy_series_accumulate(
-                            &mut acc.lesser_c[e_local],
-                            &mut acc.greater_c[e_local],
-                            &g_slab.canonical[0][e_local],
-                            &g_slab.canonical[1][e_local],
-                            &w_slab.canonical[0][e_local],
-                            &w_slab.canonical[1][e_local],
-                            batch,
-                            de,
-                            flops,
-                        );
-                        if !id.is_self_mirror() {
+                    for_each_element(
+                        lesser_greater(acc),
+                        ne,
+                        inputs.workers,
+                        flops,
+                        &|e_local, [lc, lm, gc, gm], flops| {
+                            let id = plan_local.elements[elems.start + e_local];
+                            // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
                             self_energy_series_accumulate(
-                                &mut acc.lesser_m[e_local],
-                                &mut acc.greater_m[e_local],
-                                &g_slab.mirror[0][e_local],
-                                &g_slab.mirror[1][e_local],
-                                &w_slab.mirror[0][e_local],
-                                &w_slab.mirror[1][e_local],
+                                lc,
+                                gc,
+                                g_slab.canonical_series(0, e_local),
+                                g_slab.canonical_series(1, e_local),
+                                w_slab.canonical_series(0, e_local),
+                                w_slab.canonical_series(1, e_local),
                                 batch,
                                 de,
                                 flops,
                             );
-                        }
-                    }
+                            if !id.is_self_mirror() {
+                                self_energy_series_accumulate(
+                                    lm,
+                                    gm,
+                                    g_slab.mirror_series(0, e_local),
+                                    g_slab.mirror_series(1, e_local),
+                                    w_slab.mirror_series(0, e_local),
+                                    w_slab.mirror_series(1, e_local),
+                                    batch,
+                                    de,
+                                    flops,
+                                );
+                            }
+                        },
+                    );
                     timings.add(&timings.convolution_ns, t);
                 });
             },
@@ -1602,14 +1695,21 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         let s_phase = s_acc.map(|acc| {
             quatrex_probe::span("scba.sigma.finish", "conv.sigma", || {
                 let t = Instant::now();
-                let phase = acc.finish(plan_local, group, cfg.enforce_symmetry, flops);
+                let phase = finish_phase(
+                    acc,
+                    plan_local,
+                    group,
+                    cfg.enforce_symmetry,
+                    flops,
+                    inputs.workers,
+                );
                 timings.add(&timings.convolution_ns, t);
                 phase
             })
         });
 
         // ------------------------------------ transposition #4: Σ backward
-        let s_comps = s_phase.as_ref().map(|s| s.back_components());
+        let s_comps = s_phase.as_ref().map(back_components);
         let mut s_out = backward_pipeline(
             ctx,
             &grid,

@@ -182,6 +182,31 @@ impl ObcMemoizer {
         self.cache.insert(key, value);
     }
 
+    /// Move the cached blocks of every energy index in `energies` into a new
+    /// memoizer with the same budget and tolerance and zeroed statistics: the
+    /// share of a worker that solves those energies concurrently with this
+    /// one. A memoized solve reads only its own key, so each share answers
+    /// its energies exactly as the whole memoizer would. Hand the share back
+    /// with [`ObcMemoizer::merge`].
+    pub fn split_energies(&mut self, energies: impl IntoIterator<Item = usize>) -> ObcMemoizer {
+        let mut share = ObcMemoizer::new(self.n_fpi, self.tol);
+        for k in energies {
+            for (key, value) in self.extract_energy(k) {
+                share.insert_cached(key, value);
+            }
+        }
+        share
+    }
+
+    /// Take back a share made by [`ObcMemoizer::split_energies`]: its cache
+    /// entries and the solves it counted.
+    pub fn merge(&mut self, share: ObcMemoizer) {
+        self.cache.extend(share.cache);
+        self.stats.direct_calls += share.stats.direct_calls;
+        self.stats.memoized_calls += share.stats.memoized_calls;
+        self.stats.inserts += share.stats.inserts;
+    }
+
     /// Solve one OBC problem.
     ///
     /// * `iterate` applies **one** step of the fixed-point map, writing
@@ -455,6 +480,42 @@ mod tests {
             || panic!("direct must not be called for the kept energy"),
         );
         assert!(matches!(mode, ObcMode::Memoized { .. }));
+    }
+
+    #[test]
+    fn split_shares_solve_like_the_whole_and_merge_back() {
+        let (m, n) = contraction_problem();
+        let solve_all = |memo: &mut ObcMemoizer, energies: &[usize]| {
+            energies
+                .iter()
+                .map(|&e| {
+                    memo.solve(
+                        key(e),
+                        |x, out: &mut CMatrix| *out = step(&m, &n, x),
+                        || inverse(&m).unwrap(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut whole = ObcMemoizer::new(10, 1e-10);
+        let mut split = ObcMemoizer::new(10, 1e-10);
+        solve_all(&mut whole, &[0, 1, 2]);
+        solve_all(&mut split, &[0, 1, 2]);
+        let expected = solve_all(&mut whole, &[0, 1, 2]);
+
+        let mut share = split.split_energies([1, 2]);
+        assert_eq!(split.cached_entries(), 1);
+        assert_eq!(share.cached_entries(), 2);
+        assert_eq!(share.stats(), MemoizerStats::default());
+        let mut got = solve_all(&mut split, &[0]);
+        got.extend(solve_all(&mut share, &[1, 2]));
+        for ((x, mode), (want, want_mode)) in got.iter().zip(&expected) {
+            assert_eq!(mode, want_mode);
+            assert_eq!(x.as_slice(), want.as_slice(), "bit-identical share solve");
+        }
+        split.merge(share);
+        assert_eq!(split.cached_entries(), 3);
+        assert_eq!(split.stats(), whole.stats(), "merged stats sum the shares");
     }
 
     #[test]

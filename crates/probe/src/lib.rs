@@ -112,6 +112,9 @@ pub struct RankTrace {
 struct Recorder {
     rank: usize,
     epoch: Instant,
+    /// A helper thread's recorder ([`collect_counters`]): counters only, no
+    /// spans or marks.
+    counters_only: bool,
     depth: u32,
     spans: Vec<SpanEvent>,
     marks: Vec<MarkEvent>,
@@ -131,6 +134,7 @@ pub fn install(rank: usize, epoch: Instant) {
         *r.borrow_mut() = Some(Recorder {
             rank,
             epoch,
+            counters_only: false,
             depth: 0,
             spans: Vec::with_capacity(4096),
             marks: Vec::with_capacity(1024),
@@ -158,6 +162,33 @@ pub fn finish() -> Option<RankTrace> {
         })
 }
 
+/// Run `f` on a helper thread that works on behalf of a rank, and return the
+/// counters it recorded. The helper's spans and marks are dropped: a second
+/// track of concurrent spans on one rank would overlap the rank's own track.
+/// The rank replays the returned counters with [`counter`] when it joins the
+/// helper. When the current thread already has a recorder (the helper ran
+/// inline on the rank thread), `f` records into it as usual and no counters
+/// are returned.
+pub fn collect_counters<R>(f: impl FnOnce() -> R) -> (R, Vec<(&'static str, u64)>) {
+    if is_enabled() {
+        return (f(), Vec::new());
+    }
+    let _ = RECORDER.try_with(|r| {
+        *r.borrow_mut() = Some(Recorder {
+            rank: 0,
+            epoch: Instant::now(),
+            counters_only: true,
+            depth: 0,
+            spans: Vec::new(),
+            marks: Vec::new(),
+            counters: Vec::new(),
+        });
+    });
+    let out = f();
+    let counters = finish().map(|t| t.counters).unwrap_or_default();
+    (out, counters)
+}
+
 /// Whether a recorder is installed on the current thread.
 pub fn is_enabled() -> bool {
     RECORDER.try_with(|r| r.borrow().is_some()).unwrap_or(false)
@@ -167,11 +198,14 @@ pub fn is_enabled() -> bool {
 fn enter() -> Option<(u64, u32)> {
     RECORDER
         .try_with(|r| {
-            r.borrow_mut().as_mut().map(|rec| {
-                let depth = rec.depth;
-                rec.depth += 1;
-                (rec.epoch.elapsed().as_nanos() as u64, depth)
-            })
+            r.borrow_mut()
+                .as_mut()
+                .filter(|rec| !rec.counters_only)
+                .map(|rec| {
+                    let depth = rec.depth;
+                    rec.depth += 1;
+                    (rec.epoch.elapsed().as_nanos() as u64, depth)
+                })
         })
         .ok()
         .flatten()
@@ -245,7 +279,7 @@ pub fn span_timed<R>(name: &'static str, cat: &'static str, f: impl FnOnce() -> 
 #[inline]
 pub fn mark(name: &'static str, cat: &'static str, bytes: u64) {
     let _ = RECORDER.try_with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
+        if let Some(rec) = r.borrow_mut().as_mut().filter(|rec| !rec.counters_only) {
             let ts_ns = rec.epoch.elapsed().as_nanos() as u64;
             rec.marks.push(MarkEvent {
                 name,
@@ -774,6 +808,30 @@ mod tests {
         assert_eq!(trace.counter("hits"), 5);
         assert_eq!(trace.counter("misses"), 1);
         assert_eq!(trace.counter("absent"), 0);
+    }
+
+    #[test]
+    fn helper_threads_keep_counters_and_drop_spans() {
+        let ((), counters) = std::thread::scope(|s| {
+            s.spawn(|| {
+                collect_counters(|| {
+                    span("helper", "g.assembly", || counter("hits", 2));
+                    mark("m", CAT_COMM_POST, 1);
+                    counter("hits", 1);
+                })
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(counters, vec![("hits", 3)]);
+        // Inline on a thread that records already: everything lands in its
+        // own buffer and nothing is handed back.
+        let ((), trace) = with_probe(0, || {
+            let ((), handed_back) = collect_counters(|| span("inline", "x", || counter("c", 1)));
+            assert!(handed_back.is_empty());
+        });
+        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(trace.counter("c"), 1);
     }
 
     #[test]

@@ -221,7 +221,8 @@ fn main() {
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"quick_mode\": {},\n  \"n_ranks\": {},\n  \"energy_groups\": {},\n  \
+        "{{\n  \"quick_mode\": {},\n  \"n_ranks\": {},\n  \"workers_per_rank\": {},\n  \
+         \"rank_threads_per_core\": {:.4},\n  \"energy_groups\": {},\n  \
          \"spatial_partitions\": {},\n  \
          \"balanced_partitions\": {},\n  \"full_iterations\": {},\n  \
          \"measured_transposition_bytes\": {},\n  \"measured_alltoall_bytes\": {},\n  \
@@ -238,6 +239,8 @@ fn main() {
          \"phase_flop_rates\": {{{}}}\n}}\n",
         quick,
         sr.n_ranks,
+        sr.workers_per_rank,
+        sr.rank_threads_per_core,
         sr.energy_groups,
         sr.spatial_partitions,
         sr.balanced_partitions,

@@ -275,7 +275,9 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     }
 }
 
-/// Run two closures, potentially in parallel, and return both results.
+/// Run two closures, potentially in parallel, and return both results: `a`
+/// on the calling thread, `b` on a spawned one. As in rayon, a panic in `b`
+/// is re-raised on the calling thread with its original payload.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -297,7 +299,9 @@ where
             (rb, race::depart())
         });
         let ra = a();
-        let (rb, point) = hb.join().expect("join closure panicked");
+        let (rb, point) = hb
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         race::join(point);
         (ra, rb)
     })
@@ -362,6 +366,13 @@ mod tests {
         let (a, b) = super::join(|| 2 + 2, || "ok");
         assert_eq!(a, 4);
         assert_eq!(b, "ok");
+    }
+
+    #[test]
+    fn join_re_raises_the_spawned_closure_panic() {
+        let payload = std::panic::catch_unwind(|| super::join(|| 1, || panic!("singular at 7")))
+            .expect_err("the panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"singular at 7"));
     }
 
     #[test]
