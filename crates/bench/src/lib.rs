@@ -2,17 +2,19 @@
 //!
 //! Benchmark harness reproducing the paper's evaluation.
 //!
-//! Two kinds of artefacts are produced:
+//! The binaries (`src/bin/`) produce the artefacts:
 //!
-//! * **Criterion benches** (`benches/`) measure the real kernels of this
-//!   reproduction at laptop scale (reduced devices with the same block
-//!   structure as the paper's) — one bench per evaluation artefact;
-//! * **table binaries** (`src/bin/`) print the paper's tables/figure series:
-//!   measured small-scale numbers where possible, machine-model extrapolations
-//!   (`quatrex-perf`) for the full-scale rows (Tables 4–6, Fig. 6).
+//! * **table binaries** print the paper's tables/figure series: measured
+//!   small-scale numbers on reduced devices (the same block structure as the
+//!   paper's) where possible, machine-model extrapolations (`quatrex-perf`)
+//!   for the full-scale rows (Tables 4–6, Fig. 6);
+//! * **`bench_kernels`** measures the hot kernels against their frozen
+//!   reference paths into `BENCH_kernels.json`, and **`bench_gate`** holds
+//!   the committed artefacts to the envelopes in `BENCH_reference.json`.
 //!
 //! Run `cargo run --release -p quatrex-bench --bin table4_kernels` (etc.) to
-//! regenerate a specific artefact; see EXPERIMENTS.md for the full index.
+//! regenerate a specific artefact; the README section "Reproducing the
+//! paper's evaluation" lists them all.
 
 use quatrex_core::assembly::assemble_g;
 use quatrex_core::{ObcMethod, ScbaConfig, ScbaSolver};
@@ -130,9 +132,8 @@ fn measured_decomposition_overhead_with(p_s: usize, balanced: bool) -> Decomposi
     )
 }
 
-/// Deterministic dense transport-cell-sized operand for the GEMM-chain
-/// benches. Shared by the criterion bench (`benches/kernels.rs`) and the
-/// `bench_kernels` bin so both measure the identical chain.
+/// Deterministic dense transport-cell-sized operand for the GEMM chain the
+/// `bench_kernels` bin measures.
 pub fn chain_operand(n: usize, seed: f64) -> quatrex_linalg::CMatrix {
     quatrex_linalg::CMatrix::from_fn(n, n, |i, j| {
         quatrex_linalg::cplx(

@@ -112,9 +112,6 @@ pub struct GStepOutput {
     pub current_spectrum: f64,
     /// Local density of states per transport cell.
     pub dos_local: Vec<f64>,
-    /// Wall seconds this energy cost: its assembly plus an even share of its
-    /// chunk's solve.
-    pub seconds: f64,
 }
 
 /// One energy's assembled system as a chunk solver receives it: the system
@@ -178,21 +175,19 @@ pub fn rgf_batch_solve(
     Ok(sols)
 }
 
-/// Call a chunk solver and spread its wall time evenly over the chunk's `n`
-/// energies: returns the solutions and the per-energy share.
-fn timed_chunk_solve(
+/// Call a chunk solver and check it returns one solution per system.
+fn chunk_solve(
     solve: impl FnOnce(Vec<StagedSystem>) -> Result<Vec<SelectedSolution>, RgfError>,
     systems: Vec<StagedSystem>,
-) -> Result<(Vec<SelectedSolution>, f64), RgfError> {
+) -> Result<Vec<SelectedSolution>, RgfError> {
     let n = systems.len();
-    let t = Instant::now();
     let sols = solve(systems)?;
     assert_eq!(
         sols.len(),
         n,
         "the chunk solver returns one solution per system"
     );
-    Ok((sols, t.elapsed().as_secs_f64() / n.max(1) as f64))
+    Ok(sols)
 }
 
 /// Run the G-step for one chunk of energy points: per-energy assembly (OBC
@@ -228,7 +223,6 @@ pub fn g_step_batch(
     );
     let mut systems = Vec::with_capacity(n);
     let mut obc_left = Vec::with_capacity(n);
-    let mut seconds = Vec::with_capacity(n);
     for (i, k) in indices.enumerate() {
         let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
             assemble_g(
@@ -250,14 +244,12 @@ pub fn g_step_batch(
         timings.add_seconds(&timings.g_assembly_ns, secs);
         systems.push((asm.system, asm.rhs_lesser, asm.rhs_greater));
         obc_left.push((asm.sigma_obc_left_lesser, asm.sigma_obc_left_greater));
-        seconds.push(secs);
     }
-    let (sols, solve_share) = timed_chunk_solve(solve, systems)?;
+    let sols = chunk_solve(solve, systems)?;
     Ok(sols
         .into_iter()
         .zip(obc_left)
-        .zip(seconds)
-        .map(|((sol, (left_lesser, left_greater)), secs)| {
+        .map(|(sol, (left_lesser, left_greater))| {
             let mut rhs = sol.lesser.into_iter();
             let mut lesser = rhs.next().expect("lesser RHS solved");
             let mut greater = rhs.next().expect("greater RHS solved");
@@ -274,7 +266,6 @@ pub fn g_step_batch(
                 greater,
                 current_spectrum,
                 dos_local,
-                seconds: secs + solve_share,
             }
         })
         .collect())
@@ -288,9 +279,6 @@ pub struct WStepOutput {
     pub greater: BlockTridiagonal,
     /// Fraction of banded-product weight dropped by the BT truncation.
     pub truncation: f64,
-    /// Wall seconds this energy cost: its assembly plus an even share of its
-    /// chunk's solve.
-    pub seconds: f64,
 }
 
 /// Run the W-step for one chunk of (boson) energy points: per-energy
@@ -317,7 +305,6 @@ pub fn w_step_batch(
     );
     let mut systems = Vec::with_capacity(n);
     let mut truncation = Vec::with_capacity(n);
-    let mut seconds = Vec::with_capacity(n);
     for (i, k) in indices.enumerate() {
         let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
             assemble_w(
@@ -334,14 +321,12 @@ pub fn w_step_batch(
         timings.add_seconds(&timings.w_assembly_ns, secs);
         systems.push((asm.system, asm.rhs_lesser, asm.rhs_greater));
         truncation.push(asm.truncation_error);
-        seconds.push(secs);
     }
-    let (sols, solve_share) = timed_chunk_solve(solve, systems)?;
+    let sols = chunk_solve(solve, systems)?;
     Ok(sols
         .into_iter()
         .zip(truncation)
-        .zip(seconds)
-        .map(|((sol, truncation), secs)| {
+        .map(|(sol, truncation)| {
             let mut rhs = sol.lesser.into_iter();
             let mut lesser = rhs.next().expect("lesser RHS solved");
             let mut greater = rhs.next().expect("greater RHS solved");
@@ -353,7 +338,6 @@ pub fn w_step_batch(
                 lesser,
                 greater,
                 truncation,
-                seconds: secs + solve_share,
             }
         })
         .collect())

@@ -8,8 +8,8 @@
 //! The paper (Sections 5.1–5.4) distributes the NEGF+scGW workload along two
 //! axes. The **energy axis** first: the OBC, assembly and RGF phases are
 //! embarrassingly parallel over the `N_E` energy points, so every energy
-//! *group* owns a contiguous slice of them ([`partition`], balanced by the
-//! memoizer-aware cost model of `quatrex-perf`). The **spatial axis** second:
+//! *group* owns a fixed contiguous slice of them ([`partition`], a
+//! near-equal split computed once per run). The **spatial axis** second:
 //! devices whose matrices exceed one memory domain split each energy group
 //! over `P_S` spatial partitions via the nested-dissection solver
 //! ([`spatial`]): the ranks form a `n_energy_groups × P_S` grid, the group's
@@ -62,7 +62,7 @@ pub mod spatial;
 pub mod warm;
 mod workers;
 
-pub use partition::{energy_cost_weights, partition_weighted};
+pub use partition::partition_weighted;
 pub use report::{DistReport, TranspositionBudget};
 pub use slab::{
     BackComponent, ElementSlab, EnergySlab, PartitionSlice, TranspositionBatchPlan,

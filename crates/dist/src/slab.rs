@@ -315,10 +315,12 @@ pub struct TranspositionPlan {
 }
 
 impl TranspositionPlan {
-    /// Build a plan from the problem shape and per-energy cost weights.
-    /// `n_groups` is the number of energy groups (the transposition
-    /// participants); the flat communicator runs
-    /// `n_groups · spatial_partitions` ranks.
+    /// Build a plan from the problem shape. `n_groups` is the number of
+    /// energy groups (the transposition participants); the flat communicator
+    /// runs `n_groups · spatial_partitions` ranks. Energies and canonical
+    /// elements are split into near-equal contiguous ranges with
+    /// [`partition_weighted`] over unit weights, which hands any remainder to
+    /// the last groups (10 energies over 3 groups: 3 + 3 + 4).
     pub fn new(
         n_blocks: usize,
         block_size: usize,
@@ -326,14 +328,11 @@ impl TranspositionPlan {
         n_groups: usize,
         spatial_partitions: usize,
         symmetry_reduced: bool,
-        energy_weights: &[f64],
     ) -> Self {
-        assert_eq!(energy_weights.len(), n_energies);
         assert!(spatial_partitions >= 1);
         let elements = canonical_elements(n_blocks, block_size);
-        let energy_ranges = partition_weighted(energy_weights, n_groups);
-        let element_weights = vec![1.0; elements.len()];
-        let element_ranges = partition_weighted(&element_weights, n_groups);
+        let energy_ranges = partition_weighted(&vec![1.0; n_energies], n_groups);
+        let element_ranges = partition_weighted(&vec![1.0; elements.len()], n_groups);
         Self {
             n_ranks: n_groups,
             spatial_partitions,
@@ -787,7 +786,6 @@ mod tests {
             n_ranks,
             1,
             symmetry_reduced,
-            &vec![1.0; ne],
         ));
         let gl = std::sync::Arc::new(symmetric_quantity(ne, nb, bs, 0.3));
         let gg = std::sync::Arc::new(symmetric_quantity(ne, nb, bs, 1.9));
@@ -969,8 +967,7 @@ mod tests {
         // batch count including the degenerate B > n_energies_per_group case.
         let (nb, bs, ne, n_groups) = (3usize, 2usize, 8usize, 2usize);
         for symmetry_reduced in [true, false] {
-            let plan =
-                TranspositionPlan::new(nb, bs, ne, n_groups, 1, symmetry_reduced, &vec![1.0; ne]);
+            let plan = TranspositionPlan::new(nb, bs, ne, n_groups, 1, symmetry_reduced);
             let gl = symmetric_quantity(ne, nb, bs, 0.3);
             let gg = symmetric_quantity(ne, nb, bs, 1.9);
             let local = |x: &EnergyResolved, src: usize| -> Vec<BlockTridiagonal> {
@@ -1083,7 +1080,9 @@ mod tests {
 
     #[test]
     fn batch_plan_covers_every_energy_exactly_once() {
-        let plan = TranspositionPlan::new(3, 2, 10, 3, 1, true, &[1.0; 10]);
+        let plan = TranspositionPlan::new(3, 2, 10, 3, 1, true);
+        // The energy split is pinned: the remainder lands on the last group.
+        assert_eq!(plan.energy_ranges, vec![0..3, 3..6, 6..10]);
         for b in [1usize, 2, 4, 11] {
             let batches = TranspositionBatchPlan::new(&plan, b);
             // Per group the local sub-ranges tile 0..n_local.
@@ -1109,8 +1108,8 @@ mod tests {
     #[test]
     fn symmetry_reduction_roughly_halves_the_wire_volume() {
         let (nb, bs, ne, n_ranks) = (4, 3, 8, 4);
-        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, true, &vec![1.0; ne]);
-        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, false, &vec![1.0; ne]);
+        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, true);
+        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, false);
         let g = symmetric_quantity(ne, nb, bs, 0.5);
         let local: Vec<BlockTridiagonal> = g[plan_sym.energy_ranges[0].clone()].to_vec();
         let sym_bytes = plan_sym.off_rank_bytes(0, &plan_sym.scatter_forward(0, &[&local]));

@@ -7,8 +7,8 @@
 //! `n_energy_groups × P_S` grid ([`crate::spatial::RankGrid`], mirroring
 //! `quatrex_runtime::DecompositionPlan`):
 //!
-//! 1. every energy **group** owns a contiguous slice of energy points
-//!    (balanced by the memoizer-aware cost model); the group *leader*
+//! 1. every energy **group** owns a fixed contiguous slice of energy points
+//!    (the uniform split, computed once per run); the group *leader*
 //!    (spatial rank 0) runs OBC + assembly for them against a **per-rank
 //!    [`ObcMemoizer`]**. The G step runs chunk by chunk through
 //!    `quatrex_core::g_step_batch`, and only the chunk's solver depends on
@@ -58,7 +58,7 @@ use quatrex_core::scba::{
     energy_chunks, g_step_batch, mix_sigma_energy, rgf_batch_solve, w_step_batch, KernelTimings,
     ScbaConfig, StagedSystem,
 };
-use quatrex_device::{thermal_energy_ev, Device, DeviceParams, EnergyGrid};
+use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::CMatrix;
@@ -74,11 +74,9 @@ use quatrex_runtime::{
 use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 
-use crate::partition::{energy_cost_weights, partition_weighted};
 use crate::report::{DistReport, TranspositionBudget};
 use crate::slab::{
-    off_rank_payload_bytes, push_bt, push_matrix, read_bt, read_matrix, BackComponent, ElementSlab,
-    TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE,
+    BackComponent, ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE,
 };
 use crate::spatial::{spatial_phase_solve, RankGrid, SpatialTraffic};
 use crate::warm::WarmState;
@@ -86,10 +84,12 @@ use crate::workers::{cores, fork_join, run_chunks, workers_per_rank, ChunkSolve}
 
 /// Configuration of a distributed SCBA run.
 ///
-/// Beyond the rank count, four knobs shape how the work is decomposed and
+/// Beyond the rank count, three knobs shape how the work is decomposed and
 /// moved; each is documented with *when it pays off* on its field/builder.
-/// They compose freely — the equivalence suite pins the observables against
-/// the sequential solver with all of them enabled at once:
+/// The energy partition is not one of them: every run splits the grid
+/// uniformly over the energy groups, once. The knobs compose freely — the
+/// equivalence suite pins the observables against the sequential solver with
+/// all of them enabled at once:
 ///
 /// ```
 /// use quatrex_core::ScbaConfig;
@@ -104,12 +104,10 @@ use crate::workers::{cores, fork_join, run_chunks, workers_per_rank, ChunkSolve}
 ///     ..ScbaConfig::default()
 /// };
 /// // 4 ranks as 2 energy groups x P_S = 2 spatial partitions, FLOP-balanced
-/// // layout, measured energy rebalancing, and 2-batch overlapped
-/// // transpositions — every knob composed.
+/// // layout, and 2-batch overlapped transpositions — every knob composed.
 /// let config = DistScbaConfig::new(scba, 4)
 ///     .with_spatial_partitions(2)
 ///     .with_balanced_partitions(true)
-///     .with_energy_rebalancing(true)
 ///     .with_energy_batches(2);
 /// let result = DistScbaSolver::new(device, config).run();
 /// assert_eq!(result.report.spatial_partitions, 2);
@@ -160,24 +158,6 @@ pub struct DistScbaConfig {
     /// equivalence against the sequential solver (the full wire format ships
     /// raw, unsymmetrised mirrors).
     pub symmetry_reduced: bool,
-    /// Catalogue parameters of the device, if known: enables the
-    /// memoizer-aware cost model for the energy partition.
-    pub device_params: Option<DeviceParams>,
-    /// Rebalance the energy partition between SCBA iterations from *measured*
-    /// per-energy wall times (ROADMAP "energy-cost weights from measurement"):
-    /// the wall seconds each energy spent in assembly + solve during
-    /// iteration `n` feed `partition_weighted` for iteration `n+1`, and the
-    /// per-energy self-energy state migrates between group leaders when the
-    /// split moves. Off by default: rebalancing reorders the residual
-    /// reductions, so the bit-exact full-wire-format equivalence only holds
-    /// without it (the observables still agree to ≤1e-10).
-    ///
-    /// **When it pays off:** when per-energy costs are genuinely uneven and
-    /// unpredictable — the OBC memoizer answers some energies from cache and
-    /// refines others, so static cost models drift. For short runs (1–2
-    /// iterations) there is nothing to measure and the migrations are pure
-    /// overhead.
-    pub rebalance_energies: bool,
     /// Number of energy batches (`B`) each of the four per-iteration
     /// transpositions is cut into ([`TranspositionBatchPlan`]). With `B > 1`
     /// the solver double-buffers: batch `k+1`'s `Alltoallv` is posted
@@ -234,8 +214,6 @@ impl DistScbaConfig {
             spatial_partitions: 1,
             balanced_partitions: false,
             symmetry_reduced: true,
-            device_params: None,
-            rebalance_energies: false,
             energy_batches: 1,
             probe: true,
             capture_state: false,
@@ -255,13 +233,6 @@ impl DistScbaConfig {
     /// off.
     pub fn with_balanced_partitions(mut self, enabled: bool) -> Self {
         self.balanced_partitions = enabled;
-        self
-    }
-
-    /// Enable measured-wall-time energy rebalancing between iterations. See
-    /// [`DistScbaConfig::rebalance_energies`] for when it pays off.
-    pub fn with_energy_rebalancing(mut self, enabled: bool) -> Self {
-        self.rebalance_energies = enabled;
         self
     }
 
@@ -339,8 +310,6 @@ struct RankOut {
     traffic_w: SpatialTraffic,
     memo_hits: usize,
     memo_total: usize,
-    energy_rebalances: usize,
-    rebalance_bytes: u64,
     peak_slab_bytes: u64,
     overlap_seconds: f64,
     /// Cumulative memoizer (hits, total solves) after each full iteration.
@@ -388,7 +357,7 @@ impl DistScbaSolver {
     ///
     /// This is the *idealised uniform* description (every group holds
     /// `ceil(N_E / groups)` energies); the run's actual energy ownership is
-    /// the cost-weighted contiguous partition in
+    /// the near-equal contiguous partition in
     /// [`DistScbaSolver::plan`]`().energy_ranges` — use that to locate an
     /// energy's owner. Panics when `n_ranks` does not factor into
     /// `groups × P_S`, exactly like [`DistScbaSolver::run`].
@@ -416,20 +385,13 @@ impl DistScbaSolver {
             self.config.n_ranks,
             p_s,
         );
-        let n_groups = self.config.n_ranks / p_s;
-        let weights = energy_cost_weights(
-            self.config.device_params.as_ref(),
-            self.config.scba.use_memoizer,
-            self.grid.len(),
-        );
         TranspositionPlan::new(
             h.n_blocks(),
             h.block_size(),
             self.grid.len(),
-            n_groups,
+            self.config.n_ranks / p_s,
             p_s,
             self.config.symmetry_reduced,
-            &weights,
         )
     }
 
@@ -453,9 +415,8 @@ impl DistScbaSolver {
     /// Run the distributed SCBA loop seeded from a previously captured
     /// [`WarmState`] instead of `Σ = 0`. Group leaders adopt the state's Σ
     /// matrices for their owned energies and pre-fill their OBC memoizer
-    /// caches via [`quatrex_obc::ObcMemoizer::insert_cached`] — the same
-    /// adoption the rebalancer's migration path performs, fed from a wire
-    /// stream instead of an `Alltoallv`. With `initial = None` this *is*
+    /// caches via [`quatrex_obc::ObcMemoizer::insert_cached`]. With
+    /// `initial = None` this *is*
     /// [`DistScbaSolver::run`]: a cold start.
     ///
     /// Panics when the state's grid shape (`N_E`, `N_B`, block size)
@@ -547,7 +508,6 @@ impl DistScbaSolver {
             parts: spatial_layout,
             energies: self.grid.points(),
             de,
-            rebalance: self.config.rebalance_energies,
             n_batches: self.config.energy_batches,
             workers,
             probe: self.config.probe,
@@ -576,8 +536,6 @@ impl DistScbaSolver {
         }
         let memo_hits = rank0.memo_hits + results.iter().map(|r| r.memo_hits).sum::<usize>();
         let memo_total = rank0.memo_total + results.iter().map(|r| r.memo_total).sum::<usize>();
-        let rebalance_bytes: u64 =
-            rank0.rebalance_bytes + results.iter().map(|r| r.rebalance_bytes).sum::<u64>();
         // The busiest rank's in-flight buffer bounds the per-node memory; the
         // overlap windows add up across ranks like the kernel timings do.
         let peak_slab_bytes = results
@@ -646,8 +604,6 @@ impl DistScbaSolver {
             transposition_bytes,
             &traffic_g,
             &traffic_w,
-            rank0.energy_rebalances,
-            rebalance_bytes,
             peak_slab_bytes,
             overlap_window_seconds,
             inputs.workers,
@@ -659,10 +615,8 @@ impl DistScbaSolver {
                 phase_flop_rates: flop_rates,
             },
         );
-        // Assemble the captured per-leader Σ/OBC fragments into one state
-        // over the full grid. Global energy indices key the fragments, so the
-        // assembly is ownership-agnostic: it holds whether the final split is
-        // the initial plan or a rebalanced one.
+        // Assemble the captured per-leader Σ/OBC fragments, keyed by global
+        // energy index, into one state over the full grid.
         let final_state = if capture {
             let mut state = WarmState::zeros(ne, nb, bs);
             let mut seen = vec![false; ne];
@@ -719,8 +673,6 @@ impl DistScbaSolver {
         transposition_bytes: u64,
         traffic_g: &SpatialTraffic,
         traffic_w: &SpatialTraffic,
-        energy_rebalances: usize,
-        rebalance_bytes: u64,
         peak_slab_bytes: u64,
         overlap_window_seconds: f64,
         workers_per_rank: usize,
@@ -750,8 +702,6 @@ impl DistScbaSolver {
             measured_slice_bytes_w: traffic_w.slice_bytes,
             broadcast_equivalent_bytes_g: traffic_g.broadcast_equivalent_bytes,
             broadcast_equivalent_bytes_w: traffic_w.broadcast_equivalent_bytes,
-            energy_rebalances,
-            measured_rebalance_bytes: rebalance_bytes,
             batch_count: self.config.energy_batches,
             peak_slab_bytes,
             overlap_window_seconds,
@@ -1239,7 +1189,6 @@ struct RankInputs {
     energies: Vec<f64>,
     de: f64,
     kt: f64,
-    rebalance: bool,
     n_batches: usize,
     /// Workers per rank (`crate::workers`).
     workers: usize,
@@ -1279,10 +1228,6 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
     } else {
         Vec::new()
     };
-    // Rebalancing mutates the energy ownership between iterations; only then
-    // does each rank take a private plan copy (the default path keeps the
-    // shared, read-only plan).
-    let mut plan_rebalanced: Option<TranspositionPlan> = inputs.rebalance.then(|| plan.clone());
     let bs = h.block_size();
     let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
 
@@ -1328,32 +1273,30 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         Ok(sols)
     };
 
+    // The batch schedule and the owned energies are fixed for the run.
+    let batch_plan = TranspositionBatchPlan::new(plan, inputs.n_batches);
+    let my_e = plan.energy_ranges[group].clone();
+    let n_local = my_e.len();
     // Scattering self-energies for the owned energies (energy-major, held by
     // the group leader; non-leaders carry no per-energy state).
-    let n_state = if is_leader {
-        plan.energy_ranges[group].len()
-    } else {
-        0
-    };
+    let n_state = if is_leader { n_local } else { 0 };
     let mut sigma_r: Vec<BlockTridiagonal> = vec![BlockTridiagonal::zeros(nb, bs); n_state];
     let mut sigma_l = sigma_r.clone();
     let mut sigma_g = sigma_r.clone();
 
     // Warm start: group leaders adopt the seed state's Σ matrices for their
-    // owned energies and pre-fill the OBC memoizer — the identical adoption
-    // the rebalancer's migration receive path performs (the shape was
-    // validated against the grid before the ranks spawned).
+    // owned energies and pre-fill the OBC memoizer (the shape was validated
+    // against the grid before the ranks spawned).
     if let Some(w) = &inputs.warm {
         if is_leader {
-            let my_e0 = plan.energy_ranges[group].clone();
-            for (k_local, k) in my_e0.clone().enumerate() {
+            for (k_local, k) in my_e.clone().enumerate() {
                 sigma_l[k_local] = w.sigma_lesser[k].clone();
                 sigma_g[k_local] = w.sigma_greater[k].clone();
                 sigma_r[k_local] = w.sigma_retarded[k].clone();
             }
             if let Some(m) = memoizer.as_mut() {
                 for (key, block) in &w.obc {
-                    if my_e0.contains(&key.energy_index) {
+                    if my_e.contains(&key.energy_index) {
                         m.insert_cached(*key, block.clone());
                     }
                 }
@@ -1370,8 +1313,6 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
     let mut transposition_bytes = 0u64;
     let mut traffic_g = SpatialTraffic::default();
     let mut traffic_w = SpatialTraffic::default();
-    let mut energy_rebalances = 0usize;
-    let mut rebalance_bytes = 0u64;
     let mut pipe = PipelineMetrics::default();
     let mut memo_per_iteration: Vec<(usize, usize)> = Vec::new();
 
@@ -1382,37 +1323,27 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
     let mut local_dos: Vec<Vec<f64>> = Vec::new();
     let mut local_traces: Vec<Vec<c64>> = Vec::new();
 
-    for _iter in 0..cfg.max_iterations {
-        iterations += 1;
-        let plan_local: &TranspositionPlan = plan_rebalanced.as_ref().unwrap_or(plan);
-        // The batch schedule follows the (possibly rebalanced) energy
-        // ownership of this iteration.
-        let batch_plan = TranspositionBatchPlan::new(plan_local, inputs.n_batches);
-        let my_e = plan_local.energy_ranges[group].clone();
-        let n_local = my_e.len();
-        let n_state = if is_leader { n_local } else { 0 };
-        // Wall seconds each owned energy spends in assembly + solve this
-        // iteration — the measured cost weights of the next rebalance.
-        let mut energy_seconds = vec![0.0f64; n_state];
-        // The energy chunks of both steps, as global energy ranges. At
-        // P_S = 1 every transposition batch is cut into a multiple of
-        // `workers` chunks of at most `kernel_batch` energies, run on the
-        // rank's workers; a chunk never straddles a batch, so the data a solve
-        // produces is exactly the data the next pipelined transposition
-        // ships. At P_S > 1 the one chunk is the group's whole owned range.
-        let chunks: Vec<Range<usize>> = if p_s == 1 {
-            batch_plan.local_ranges[group]
-                .iter()
-                .flat_map(|lr| {
-                    let global = my_e.start + lr.start..my_e.start + lr.end;
-                    energy_chunks(global, cfg.kernel_batch, inputs.workers)
-                })
-                .collect()
-        } else {
-            std::iter::once(my_e.start..my_e.start + n_state).collect()
-        };
-        let local = |c: &Range<usize>| c.start - my_e.start..c.end - my_e.start;
+    // The energy chunks of both steps, as global energy ranges. At P_S = 1
+    // every transposition batch is cut into a multiple of `workers` chunks of
+    // at most `kernel_batch` energies, run on the rank's workers; a chunk
+    // never straddles a batch, so the data a solve produces is exactly the
+    // data the next pipelined transposition ships. At P_S > 1 the one chunk
+    // is the group's whole owned range.
+    let chunks: Vec<Range<usize>> = if p_s == 1 {
+        batch_plan.local_ranges[group]
+            .iter()
+            .flat_map(|lr| {
+                let global = my_e.start + lr.start..my_e.start + lr.end;
+                energy_chunks(global, cfg.kernel_batch, inputs.workers)
+            })
+            .collect()
+    } else {
+        std::iter::once(my_e.start..my_e.start + n_state).collect()
+    };
+    let local = |c: &Range<usize>| c.start - my_e.start..c.end - my_e.start;
 
+    for _ in 0..cfg.max_iterations {
+        iterations += 1;
         // ------------------------------------------------------------ G step
         let g_step = |c: Range<usize>, memo: Option<&mut ObcMemoizer>, solve: &mut ChunkSolve| {
             let l = local(&c);
@@ -1449,9 +1380,8 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         local_spectrum = Vec::with_capacity(n_state);
         local_dos = Vec::with_capacity(n_state);
         local_traces = Vec::with_capacity(n_state);
-        for (c, outs) in chunks.iter().zip(g_outs) {
-            for (k_local, out) in local(c).zip(outs) {
-                energy_seconds[k_local] += out.seconds;
+        for outs in g_outs {
+            for out in outs {
                 local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
                 g_lesser.push(out.lesser);
                 g_greater.push(out.greater);
@@ -1474,12 +1404,12 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         // batch k: P is bilinear in G, so each arriving batch contributes its
         // cross terms against everything arrived so far (exact; see
         // `polarization_series_accumulate`).
-        let elems = plan_local.element_ranges[group].clone();
+        let elems = plan.element_ranges[group].clone();
         let mut p_acc = is_leader.then(|| ElementSlab::zeroed(elems.clone(), 2, ne));
         let g_slab = forward_pipeline(
             ctx,
             &grid,
-            plan_local,
+            plan,
             &batch_plan,
             group,
             is_leader,
@@ -1502,7 +1432,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
                         inputs.workers,
                         flops,
                         &|e_local, [lc, lm, gc, gm], flops| {
-                            let id = plan_local.elements[elems.start + e_local];
+                            let id = plan.elements[elems.start + e_local];
                             // P_ij(ω) needs G^<_ij, G^>_ji, G^>_ij, G^<_ji; the
                             // mirrored element swaps canonical and mirror series.
                             let gl = slab.canonical_series(0, e_local);
@@ -1546,7 +1476,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
                 let t = Instant::now();
                 let phase = finish_phase(
                     acc,
-                    plan_local,
+                    plan,
                     group,
                     cfg.enforce_symmetry,
                     flops,
@@ -1562,7 +1492,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         let mut p_out = backward_pipeline(
             ctx,
             &grid,
-            plan_local,
+            plan,
             &batch_plan,
             group,
             is_leader,
@@ -1613,9 +1543,8 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         let mut w_lesser = Vec::with_capacity(n_state);
         let mut w_greater = Vec::with_capacity(n_state);
         let mut local_trunc = 0.0f64;
-        for (c, outs) in chunks.iter().zip(w_outs) {
-            for (k_local, out) in local(c).zip(outs) {
-                energy_seconds[k_local] += out.seconds;
+        for outs in w_outs {
+            for out in outs {
                 local_trunc = local_trunc.max(out.truncation);
                 w_lesser.push(out.lesser);
                 w_greater.push(out.greater);
@@ -1635,7 +1564,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         let w_slab = forward_pipeline(
             ctx,
             &grid,
-            plan_local,
+            plan,
             &batch_plan,
             group,
             is_leader,
@@ -1659,7 +1588,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
                         inputs.workers,
                         flops,
                         &|e_local, [lc, lm, gc, gm], flops| {
-                            let id = plan_local.elements[elems.start + e_local];
+                            let id = plan.elements[elems.start + e_local];
                             // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
                             self_energy_series_accumulate(
                                 lc,
@@ -1697,7 +1626,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
                 let t = Instant::now();
                 let phase = finish_phase(
                     acc,
-                    plan_local,
+                    plan,
                     group,
                     cfg.enforce_symmetry,
                     flops,
@@ -1713,7 +1642,7 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         let mut s_out = backward_pipeline(
             ctx,
             &grid,
-            plan_local,
+            plan,
             &batch_plan,
             group,
             is_leader,
@@ -1775,31 +1704,6 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
             converged = true;
             break;
         }
-
-        // -------------------------------------- measured energy rebalancing
-        if let (true, Some(plan_mut)) = (_iter + 1 < cfg.max_iterations, plan_rebalanced.as_mut()) {
-            let moved = quatrex_probe::span("scba.rebalance", "rebalance", || {
-                rebalance_energy_partition(
-                    ctx,
-                    &grid,
-                    plan_mut,
-                    &my_e,
-                    &energy_seconds,
-                    ne,
-                    nb,
-                    bs,
-                    is_leader,
-                    &mut sigma_l,
-                    &mut sigma_g,
-                    &mut sigma_r,
-                    memoizer.as_mut(),
-                    &mut rebalance_bytes,
-                )
-            });
-            if moved {
-                energy_rebalances += 1;
-            }
-        }
     }
 
     // ------------------------------------------------- final ordered gathers
@@ -1852,20 +1756,18 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
 
     // State capture: drain this leader's final Σ matrices and memoizer
     // entries, keyed by global energy index so the solver can reassemble the
-    // full-grid state regardless of how rebalancing moved ownership.
+    // full-grid state.
     let mut final_sigma = Vec::new();
     let mut final_obc = Vec::new();
     if inputs.capture && is_leader {
-        let final_e = plan_rebalanced.as_ref().unwrap_or(plan).energy_ranges[group].clone();
         let sl = std::mem::take(&mut sigma_l);
         let sg = std::mem::take(&mut sigma_g);
         let sr = std::mem::take(&mut sigma_r);
-        debug_assert_eq!(sl.len(), final_e.len(), "Σ state matches final ownership");
-        for (((k, l), g), r) in final_e.clone().zip(sl).zip(sg).zip(sr) {
+        for (((k, l), g), r) in my_e.clone().zip(sl).zip(sg).zip(sr) {
             final_sigma.push((k, l, g, r));
         }
         if let Some(m) = memoizer.as_mut() {
-            for k in final_e {
+            for k in my_e {
                 final_obc.extend(m.extract_energy(k));
             }
         }
@@ -1893,8 +1795,6 @@ fn rank_main(ctx: &RankContext<Vec<c64>>, inputs: &RankInputs) -> RankOut {
         traffic_w,
         memo_hits,
         memo_total,
-        energy_rebalances,
-        rebalance_bytes,
         peak_slab_bytes: pipe.peak_bytes,
         overlap_seconds: pipe.overlap_seconds,
         memo_per_iteration,
@@ -1921,189 +1821,4 @@ fn copy_timings(shared: &KernelTimings) -> KernelTimings {
         dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
     }
     copy
-}
-
-/// Recompute the energy partition from measured per-energy wall seconds and
-/// migrate the per-energy self-energy state between group leaders when the
-/// split moves (the ROADMAP "energy-cost weights from measurement" item: the
-/// memoizer's direct-vs-refine asymmetry makes per-energy costs uneven, and
-/// iteration `n`'s measurements rebalance iteration `n+1`). Every rank joins
-/// the collectives and applies the same deterministic update to its plan
-/// copy. Returns true when the ownership actually changed.
-#[allow(clippy::too_many_arguments)]
-fn rebalance_energy_partition(
-    ctx: &RankContext<Vec<c64>>,
-    grid: &RankGrid,
-    plan_local: &mut TranspositionPlan,
-    my_e: &std::ops::Range<usize>,
-    energy_seconds: &[f64],
-    ne: usize,
-    nb: usize,
-    bs: usize,
-    is_leader: bool,
-    sigma_l: &mut Vec<BlockTridiagonal>,
-    sigma_g: &mut Vec<BlockTridiagonal>,
-    sigma_r: &mut Vec<BlockTridiagonal>,
-    mut memoizer: Option<&mut ObcMemoizer>,
-    rebalance_bytes: &mut u64,
-) -> bool {
-    let rank = ctx.rank();
-    let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
-
-    // Every leader contributes (energy index, measured seconds) pairs; the
-    // gather gives all ranks the identical full weight vector.
-    let mut packed: Vec<c64> = Vec::with_capacity(energy_seconds.len());
-    for (k_local, k) in my_e.clone().enumerate().take(energy_seconds.len()) {
-        packed.push(c64::new(k as f64, energy_seconds[k_local]));
-    }
-    let gathered = ctx.allgather_tagged(packed, wire, CommPhase::Rebalance);
-    let mut weights = vec![0.0f64; ne];
-    for msg in &gathered {
-        for v in msg {
-            weights[v.re as usize] = v.im.max(f64::MIN_POSITIVE);
-        }
-    }
-    let new_ranges = partition_weighted(&weights, grid.n_groups);
-    if new_ranges == plan_local.energy_ranges {
-        // Still run the (empty) migration collective so every rank executes
-        // the same collective sequence regardless of local state.
-        let send: Vec<Vec<c64>> = vec![Vec::new(); ctx.n_ranks()];
-        let _ = ctx.alltoallv_tagged(send, wire, CommPhase::Rebalance);
-        return false;
-    }
-
-    // Migrate departing energies to their new owner's group leader.
-    let group = grid.group_of(rank);
-    let old_ranges = plan_local.energy_ranges.clone();
-    let mut send: Vec<Vec<c64>> = vec![Vec::new(); ctx.n_ranks()];
-    if is_leader {
-        for (k_local, k) in my_e.clone().enumerate() {
-            let new_group = new_ranges
-                .iter()
-                .position(|r| r.contains(&k))
-                .expect("every energy stays owned"); // lint:allow(no-unwrap): the ownership ranges partition the energy grid
-            if new_group != group {
-                let dst = grid.leader_of(new_group);
-                // Old owner relinquishes energy k's σ state (matrices +
-                // memoizer cache): the migration alltoallv's channel edge
-                // must order this against the new owner's adoption below.
-                race::access_shared(
-                    SharedId::new("dist.sigma_state", k as u64),
-                    AccessKind::Write,
-                );
-                push_bt(&mut send[dst], &sigma_l[k_local]);
-                push_bt(&mut send[dst], &sigma_g[k_local]);
-                push_bt(&mut send[dst], &sigma_r[k_local]);
-                // The OBC memoizer cache of this energy travels too: without
-                // it the new owner would fall back to direct solves and the
-                // refinement trajectory (and hence the observables at the
-                // memoizer tolerance) would drift.
-                let entries = match memoizer.as_deref_mut() {
-                    Some(m) => m.extract_energy(k),
-                    None => Vec::new(),
-                };
-                send[dst].push(c64::new(entries.len() as f64, 0.0));
-                for (key, block) in entries {
-                    send[dst].push(encode_obc_key(&key));
-                    push_matrix(&mut send[dst], &block);
-                }
-            }
-        }
-    }
-    *rebalance_bytes += off_rank_payload_bytes(rank, &send);
-    let received = ctx.alltoallv_tagged(send, wire, CommPhase::Rebalance);
-
-    if is_leader {
-        let new_my = new_ranges[group].clone();
-        let mut old_l: Vec<Option<BlockTridiagonal>> =
-            std::mem::take(sigma_l).into_iter().map(Some).collect();
-        let mut old_g: Vec<Option<BlockTridiagonal>> =
-            std::mem::take(sigma_g).into_iter().map(Some).collect();
-        let mut old_r: Vec<Option<BlockTridiagonal>> =
-            std::mem::take(sigma_r).into_iter().map(Some).collect();
-        // One read cursor (iterator) per source leader, shared by every
-        // migrated energy; the wire codec is the same push/read helpers the
-        // PartitionSlice messages use.
-        let mut readers: Vec<std::slice::Iter<'_, c64>> =
-            received.iter().map(|m| m.iter()).collect();
-        for k in new_my {
-            if my_e.contains(&k) {
-                let k_local = k - my_e.start;
-                sigma_l.push(old_l[k_local].take().expect("kept energy")); // lint:allow(no-unwrap): every kept energy was stored by the previous loop
-                sigma_g.push(old_g[k_local].take().expect("kept energy")); // lint:allow(no-unwrap): every kept energy was stored by the previous loop
-                sigma_r.push(old_r[k_local].take().expect("kept energy")); // lint:allow(no-unwrap): every kept energy was stored by the previous loop
-            } else {
-                let src_group = old_ranges
-                    .iter()
-                    .position(|r| r.contains(&k))
-                    .expect("every energy was owned"); // lint:allow(no-unwrap): the previous ownership ranges also partition the grid
-                let src = grid.leader_of(src_group);
-                let it = &mut readers[src];
-                // New owner adopts energy k's migrated σ state.
-                race::access_shared(
-                    SharedId::new("dist.sigma_state", k as u64),
-                    AccessKind::Write,
-                );
-                sigma_l.push(read_bt(it, nb, bs));
-                sigma_g.push(read_bt(it, nb, bs));
-                sigma_r.push(read_bt(it, nb, bs));
-                let n_entries = it.next().expect("rebalance message").re as usize; // lint:allow(no-unwrap): encoder fixes the rebalance message length
-                for _ in 0..n_entries {
-                    let key = decode_obc_key(*it.next().expect("rebalance message"), k); // lint:allow(no-unwrap): encoder fixes the rebalance message length
-                    let block = read_matrix(it, bs);
-                    if let Some(m) = memoizer.as_deref_mut() {
-                        m.insert_cached(key, block);
-                    }
-                }
-            }
-        }
-        for (src, mut it) in readers.into_iter().enumerate() {
-            assert!(
-                it.next().is_none(),
-                "rebalance message from {src} fully consumed"
-            );
-        }
-    }
-    plan_local.energy_ranges = new_ranges;
-    true
-}
-
-/// Encode an [`ObcKey`] (minus the energy index, which is implied by the
-/// message position) into one wire value. The warm-state stream
-/// ([`crate::WarmState`]) reuses this code and carries the energy index in
-/// the imaginary part.
-pub(crate) fn encode_obc_key(key: &quatrex_obc::ObcKey) -> c64 {
-    use quatrex_obc::{Contact, Subsystem};
-    let contact = match key.contact {
-        Contact::Left => 0u8,
-        Contact::Right => 1,
-    };
-    let subsystem = match key.subsystem {
-        Subsystem::Electron => 0u8,
-        Subsystem::ScreenedCoulomb => 1,
-    };
-    c64::new(
-        (contact as f64) + 2.0 * (subsystem as f64) + 4.0 * (key.component as f64),
-        0.0,
-    )
-}
-
-/// Inverse of [`encode_obc_key`] for the given energy index.
-pub(crate) fn decode_obc_key(v: c64, energy_index: usize) -> quatrex_obc::ObcKey {
-    use quatrex_obc::{Contact, Subsystem};
-    let code = v.re as u64;
-    quatrex_obc::ObcKey {
-        contact: if code & 1 == 0 {
-            Contact::Left
-        } else {
-            Contact::Right
-        },
-        subsystem: if (code >> 1) & 1 == 0 {
-            Subsystem::Electron
-        } else {
-            Subsystem::ScreenedCoulomb
-        },
-        component: (code >> 2) as u8,
-        energy_index,
-    }
 }

@@ -4,11 +4,12 @@
 //! needs to resume the self-consistency loop near a previously converged
 //! fixed point: the per-energy scattering self-energies `Σ^<`, `Σ^>`, `Σ^R`
 //! over the full energy grid, plus the OBC memoizer cache entries extracted
-//! via [`quatrex_obc::ObcMemoizer::extract_energy`]. It travels on the exact
-//! wire codec the energy rebalancer's migration path uses
-//! (`push_bt`/`read_bt`/`push_matrix`/`read_matrix` over a `complex128`
-//! stream), so the state a sweep engine checkpoints to disk is bit-identical
-//! to the state a leader would receive over the migration `Alltoallv`.
+//! via [`quatrex_obc::ObcMemoizer::extract_energy`]. This module is the
+//! warm-state and checkpoint codec: the state travels on the
+//! `push_bt`/`read_bt`/`push_matrix`/`read_matrix` helpers over a
+//! `complex128` stream, the same helpers the spatial `PartitionSlice`
+//! messages use, so the state a sweep engine checkpoints to disk decodes
+//! bit-identically.
 //!
 //! ## Wire format
 //!
@@ -23,17 +24,16 @@
 //!     push_matrix(boundary block)                          bs² values
 //! ```
 //!
-//! The key code packs contact/subsystem/component exactly like the
-//! rebalancer's `encode_obc_key`; the energy index rides the imaginary part
-//! because a checkpointed stream, unlike a migration message, has no implied
+//! The key code packs contact, subsystem and component into one integer in
+//! `0..12` (`contact + 2·subsystem + 4·component`); the energy index rides the
+//! imaginary part because the OBC entries follow the Σ state without
 //! per-energy framing.
 
 use quatrex_linalg::{c64, CMatrix};
-use quatrex_obc::ObcKey;
+use quatrex_obc::{Contact, ObcKey, Subsystem};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
-use crate::solver::{decode_obc_key, encode_obc_key};
 
 /// Converged per-energy Σ state plus OBC cache of one SCBA solve, over the
 /// *full* energy grid (energy-major, global indices) — the unit a sweep
@@ -58,12 +58,12 @@ pub struct WarmState {
 }
 
 /// Named decode failures of the [`WarmState`] wire stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WarmStateWireError {
     /// The stream ends before the 4-value header.
     MissingHeader,
     /// A header field is negative, non-integral or zero where a dimension is
-    /// required.
+    /// required, or the dimensions it promises overflow a stream length.
     BadHeader,
     /// The stream length disagrees with the header's dimensions.
     LengthMismatch {
@@ -78,6 +78,11 @@ pub enum WarmStateWireError {
         energy_index: usize,
         /// The grid length from the header.
         n_energies: usize,
+    },
+    /// An OBC entry's key code is not an integer in `0..12`.
+    BadObcKey {
+        /// The rejected code (the real part of the entry's key value).
+        code: f64,
     },
 }
 
@@ -97,6 +102,9 @@ impl std::fmt::Display for WarmStateWireError {
                 f,
                 "warm-state OBC entry names energy {energy_index} outside the {n_energies}-point grid"
             ),
+            Self::BadObcKey { code } => {
+                write!(f, "warm-state OBC key code {code} is not an integer in 0..12")
+            }
         }
     }
 }
@@ -106,6 +114,56 @@ impl std::error::Error for WarmStateWireError {}
 /// Values one block-tridiagonal quantity occupies on the wire.
 fn bt_values(nb: usize, bs: usize) -> usize {
     (3 * nb - 2).max(1) * bs * bs
+}
+
+/// Values the stream of the given header dimensions occupies, `None` when the
+/// count overflows `usize`.
+fn checked_wire_values(ne: usize, nb: usize, bs: usize, n_obc: usize) -> Option<usize> {
+    let block = bs.checked_mul(bs)?;
+    let bt = nb.checked_mul(3)?.checked_sub(2)?.checked_mul(block)?;
+    let sigma = ne.checked_mul(3)?.checked_mul(bt)?;
+    let obc = n_obc.checked_mul(block.checked_add(1)?)?;
+    sigma.checked_add(obc)?.checked_add(4)
+}
+
+/// Pack an OBC key's contact, subsystem and component into one wire value
+/// (real part `contact + 2·subsystem + 4·component`, imaginary part zero).
+fn encode_obc_key(key: &ObcKey) -> c64 {
+    let contact = match key.contact {
+        Contact::Left => 0u8,
+        Contact::Right => 1,
+    };
+    let subsystem = match key.subsystem {
+        Subsystem::Electron => 0u8,
+        Subsystem::ScreenedCoulomb => 1,
+    };
+    c64::new(
+        (contact as f64) + 2.0 * (subsystem as f64) + 4.0 * (key.component as f64),
+        0.0,
+    )
+}
+
+/// Inverse of [`encode_obc_key`] for the given energy index. Only the codes
+/// `0..12` name a key (three components of four contact/subsystem pairs).
+fn decode_obc_key(v: c64, energy_index: usize) -> Result<ObcKey, WarmStateWireError> {
+    if !(v.re >= 0.0 && v.re < 12.0 && v.re.fract() == 0.0) {
+        return Err(WarmStateWireError::BadObcKey { code: v.re });
+    }
+    let code = v.re as u8;
+    Ok(ObcKey {
+        contact: if code & 1 == 0 {
+            Contact::Left
+        } else {
+            Contact::Right
+        },
+        subsystem: if (code >> 1) & 1 == 0 {
+            Subsystem::Electron
+        } else {
+            Subsystem::ScreenedCoulomb
+        },
+        component: code >> 2,
+        energy_index,
+    })
 }
 
 impl WarmState {
@@ -177,7 +235,8 @@ impl WarmState {
             .filter(|&n| n > 0)
             .ok_or(WarmStateWireError::BadHeader)?;
         let n_obc = dim(values[3]).ok_or(WarmStateWireError::BadHeader)?;
-        let expected = 4 + 3 * ne * bt_values(nb, bs) + n_obc * (1 + bs * bs);
+        let expected =
+            checked_wire_values(ne, nb, bs, n_obc).ok_or(WarmStateWireError::BadHeader)?;
         if values.len() != expected {
             return Err(WarmStateWireError::LengthMismatch {
                 expected,
@@ -203,7 +262,7 @@ impl WarmState {
                     n_energies: ne,
                 });
             }
-            let key = decode_obc_key(code, energy_index);
+            let key = decode_obc_key(code, energy_index)?;
             obc.push((key, read_matrix(&mut it, bs)));
         }
         Ok(Self {
@@ -221,7 +280,6 @@ impl WarmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quatrex_obc::{Contact, Subsystem};
 
     fn sample() -> WarmState {
         let ne = 3;
@@ -286,5 +344,27 @@ mod tests {
             WarmState::from_wire(&bad),
             Err(WarmStateWireError::BadHeader)
         ));
+        // Dimensions whose stream length overflows are a bad header, not an
+        // arithmetic panic.
+        let mut huge = wire.clone();
+        huge[0] = c64::new(1e19, 0.0);
+        assert_eq!(
+            WarmState::from_wire(&huge).err(),
+            Some(WarmStateWireError::BadHeader)
+        );
+        // The OBC key code sits right after the Σ state; only integers in
+        // 0..12 name a key.
+        let code_at = wire.len() - 1 - state.block_size * state.block_size;
+        for code in [1029.0, 12.0, -1.0, 2.5, f64::NAN] {
+            let mut bad = wire.clone();
+            bad[code_at].re = code;
+            assert!(
+                matches!(
+                    WarmState::from_wire(&bad),
+                    Err(WarmStateWireError::BadObcKey { .. })
+                ),
+                "key code {code}"
+            );
+        }
     }
 }

@@ -1,11 +1,10 @@
 //! Race-detector equivalence on the full distributed grid: running the SCBA
 //! pipeline with the happens-before detector enabled must (a) report **zero**
 //! races on the unmutated tree — the acceptance grid is 4 energy groups ×
-//! P_S = 2 spatial partitions with B = 2 batches and energy rebalancing on,
-//! so every annotated path (slab/wire buffers, handle completion, batch
-//! accumulators, memoizer migration) is exercised — and (b) produce
-//! bit-identical observables to the detector-off baseline, proving the
-//! instrumentation is a pure observer.
+//! P_S = 2 spatial partitions with B = 2 batches, so every annotated path
+//! (slab/wire buffers, handle completion, batch accumulators) is exercised —
+//! and (b) produce bit-identical observables to the detector-off baseline,
+//! proving the instrumentation is a pure observer.
 
 use quatrex_check::race;
 use quatrex_core::ScbaConfig;
@@ -27,17 +26,17 @@ fn gw_config(n_energies: usize, iterations: usize) -> ScbaConfig {
 }
 
 #[test]
-fn full_grid_with_rebalancing_is_race_clean() {
+fn full_grid_is_race_clean_and_bit_identical_to_the_detector_off_run() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     // The acceptance layout: 8 ranks = 4 energy groups × 2 spatial
-    // partitions, 2 batches per transposition, rebalancing migrations on —
-    // so the slab/wire, handle-completion, batch-accumulator AND memoizer
-    // migration annotations all fire.
+    // partitions, 2 batches per transposition — so the slab/wire,
+    // handle-completion and batch-accumulator annotations all fire.
     let config = DistScbaConfig::new(gw_config(16, 3), 8)
         .with_spatial_partitions(2)
-        .with_energy_batches(2)
-        .with_energy_rebalancing(true);
+        .with_energy_batches(2);
+
+    let baseline = DistScbaSolver::new(device.clone(), config.clone()).run();
 
     race::reset();
     race::enable();
@@ -56,30 +55,6 @@ fn full_grid_with_rebalancing_is_race_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(traced.observables.current.is_finite());
-    assert!(traced.report.measured_alltoall_bytes > 0);
-}
-
-#[test]
-fn detector_is_a_pure_observer_bit_identical_observables() {
-    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let device = DeviceBuilder::test_device(3, 2, 4).build();
-    // Rebalancing off: migration decisions come from wall-clock
-    // measurements, so only the fixed partition is run-to-run
-    // deterministic — which is what bit-equality needs.
-    let config = DistScbaConfig::new(gw_config(16, 3), 8)
-        .with_spatial_partitions(2)
-        .with_energy_batches(2);
-
-    let baseline = DistScbaSolver::new(device.clone(), config.clone()).run();
-
-    race::reset();
-    race::enable();
-    let traced = DistScbaSolver::new(device, config).run();
-    race::disable();
-    let reports = race::take_reports();
-    race::reset();
-    assert!(reports.is_empty(), "fixed-partition grid must be race-free");
 
     // Bit-for-bit: vector clocks ride alongside the data, never reorder it.
     assert_eq!(baseline.iterations, traced.iterations);
@@ -101,19 +76,19 @@ fn detector_is_a_pure_observer_bit_identical_observables() {
         bits(&baseline.observables.spectral.current_spectrum),
         bits(&traced.observables.spectral.current_spectrum)
     );
+    assert!(traced.observables.current.is_finite());
     assert!(traced.report.measured_alltoall_bytes > 0);
 }
 
 #[test]
 fn uneven_batches_under_detector_stay_race_clean() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    // The least regular layout: migrations plus a batch count that does not
-    // divide the per-group energy count.
+    // The least regular layout: a batch count that does not divide the
+    // per-group energy count.
     let device = DeviceBuilder::test_device(2, 2, 6).build();
     let config = DistScbaConfig::new(gw_config(12, 3), 4)
         .with_spatial_partitions(2)
-        .with_energy_batches(3)
-        .with_energy_rebalancing(true);
+        .with_energy_batches(3);
 
     race::reset();
     race::enable();

@@ -67,8 +67,9 @@ pub struct MemoizerStats {
     /// Number of solves answered from the cache + fixed-point refinement.
     pub memoized_calls: usize,
     /// Number of cache entries created cold by a solve (a direct solve for a
-    /// key never seen before). Migrated entries ([`ObcMemoizer::insert_cached`])
-    /// are not counted — they were created (and counted) on the sending rank.
+    /// key never seen before). Moved entries ([`ObcMemoizer::insert_cached`])
+    /// are not counted — they were created (and counted) where they came
+    /// from.
     pub inserts: usize,
 }
 
@@ -156,10 +157,10 @@ impl ObcMemoizer {
     }
 
     /// Remove and return every cached block of one energy index, in
-    /// deterministic (sorted-key) order — the migration payload when a
-    /// distributed driver moves an energy point to another rank. Migrating
-    /// the cache with the energy keeps the memoized refinement trajectory
-    /// identical to a run without migration.
+    /// deterministic (sorted-key) order — the payload when an energy's cache
+    /// moves to another memoizer (a worker's share, a captured warm state).
+    /// Moving the cache with the energy keeps the memoized refinement
+    /// trajectory identical to a run without the move.
     pub fn extract_energy(&mut self, energy_index: usize) -> Vec<(ObcKey, CMatrix)> {
         let mut keys: Vec<ObcKey> = self
             .cache
@@ -177,7 +178,7 @@ impl ObcMemoizer {
     }
 
     /// Insert an externally produced cache entry (the receiving side of a
-    /// migration).
+    /// move, e.g. a warm start adopting a captured state).
     pub fn insert_cached(&mut self, key: ObcKey, value: CMatrix) {
         self.cache.insert(key, value);
     }
@@ -416,8 +417,8 @@ mod tests {
 
     #[test]
     fn cache_migration_round_trips_between_memoizers() {
-        // The distributed rebalancer moves an energy's cache entries to
-        // another rank's memoizer via extract_energy → insert_cached; the
+        // Warm starts and worker shares move an energy's cache entries to
+        // another memoizer via extract_energy → insert_cached; the
         // entries, stats and the memoized refinement behaviour must survive
         // the trip.
         let (m, n) = contraction_problem();

@@ -25,9 +25,9 @@
 //! * **One clock.** All ranks timestamp against a shared monotonic epoch
 //!   (`Instant`) passed to [`install`], so merged tracks align without any
 //!   cross-rank clock reconciliation. [`span_timed`] additionally returns the
-//!   measured duration even when recording is disabled, which lets the energy
-//!   rebalancer consume probe timings unconditionally — balancing and
-//!   reporting share one clock.
+//!   measured duration even when recording is disabled, which lets the SCBA
+//!   steps book their kernel timings unconditionally — timing and reporting
+//!   share one clock.
 //!
 //! The analysis half ([`Timeline`]) derives the phase metrics folded into
 //! `DistReport`: per-phase wall seconds, measured overlap efficiency
@@ -260,9 +260,9 @@ pub fn span_bytes<R>(
 }
 
 /// Run `f` inside a span and *always* return its measured wall duration in
-/// seconds, recording the event only when a recorder is installed. This is
-/// the primitive the energy rebalancer uses: its per-energy weights come from
-/// the same clock as the trace, with or without tracing enabled.
+/// seconds, recording the event only when a recorder is installed. The SCBA
+/// steps book their `KernelTimings` through it, so those come from the same
+/// clock as the trace, with or without tracing enabled.
 #[inline]
 pub fn span_timed<R>(name: &'static str, cat: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
     let entered = enter();

@@ -233,8 +233,6 @@ pub enum CommPhase {
     /// Update/recovery/result gathers (spatial solve rounds and the final
     /// ordered observable gathers).
     Gathers,
-    /// Energy-rebalance migrations between iterations.
-    Rebalance,
     /// Anything untagged (the default for legacy call sites).
     #[default]
     Other,
@@ -242,14 +240,13 @@ pub enum CommPhase {
 
 impl CommPhase {
     /// Every phase, in [`CommPhase::index`] order.
-    pub const ALL: [CommPhase; 8] = [
+    pub const ALL: [CommPhase; 7] = [
         CommPhase::FwdG,
         CommPhase::BwdP,
         CommPhase::FwdW,
         CommPhase::BwdSigma,
         CommPhase::Slices,
         CommPhase::Gathers,
-        CommPhase::Rebalance,
         CommPhase::Other,
     ];
 
@@ -262,8 +259,7 @@ impl CommPhase {
             CommPhase::BwdSigma => 3,
             CommPhase::Slices => 4,
             CommPhase::Gathers => 5,
-            CommPhase::Rebalance => 6,
-            CommPhase::Other => 7,
+            CommPhase::Other => 6,
         }
     }
 
@@ -276,7 +272,6 @@ impl CommPhase {
             CommPhase::BwdSigma => "bwd_sigma",
             CommPhase::Slices => "slices",
             CommPhase::Gathers => "gathers",
-            CommPhase::Rebalance => "rebalance",
             CommPhase::Other => "other",
         }
     }
@@ -300,7 +295,6 @@ impl CommPhase {
             CommPhase::BwdSigma => "alltoallv.post.bwd_sigma",
             CommPhase::Slices => "alltoallv.post.slices",
             CommPhase::Gathers => "alltoallv.post.gathers",
-            CommPhase::Rebalance => "alltoallv.post.rebalance",
             CommPhase::Other => "alltoallv.post.other",
         }
     }
@@ -314,7 +308,6 @@ impl CommPhase {
             CommPhase::BwdSigma => "alltoallv.wait.bwd_sigma",
             CommPhase::Slices => "alltoallv.wait.slices",
             CommPhase::Gathers => "alltoallv.wait.gathers",
-            CommPhase::Rebalance => "alltoallv.wait.rebalance",
             CommPhase::Other => "alltoallv.wait.other",
         }
     }

@@ -46,11 +46,6 @@ pub struct SweepConfig {
 impl SweepConfig {
     /// A sweep configuration with default options (`P_S = 1`, one batch,
     /// warm start on).
-    ///
-    /// Measured energy rebalancing is deliberately *not* exposed here: the
-    /// engine's checkpoint/resume guarantee (a resumed sweep reproduces the
-    /// uninterrupted curve point-for-point) requires deterministic solves,
-    /// and rebalancing repartitions from measured wall times.
     pub fn new(scba: ScbaConfig, n_ranks: usize) -> Self {
         Self {
             scba,
@@ -108,9 +103,9 @@ struct FinishedPoint {
 /// checkpoint/resume the whole sweep mid-curve.
 ///
 /// Every point solves on the *same* energy grid (pinned from the unbiased
-/// base device), so converged Σ states transfer between points unchanged —
-/// the warm start is exactly the rebalancer's state adoption, applied across
-/// solves instead of across leaders.
+/// base device), so converged Σ states transfer between points unchanged:
+/// each group leader adopts the seed's Σ and OBC entries for the energies it
+/// owns.
 pub struct SweepEngine {
     device: Device,
     config: SweepConfig,
